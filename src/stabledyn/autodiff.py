@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _arr(x) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype is _F64:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
@@ -45,16 +50,10 @@ class ParamStore:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def num_params(self) -> int:
-        return sum(v.size for v in self.values.values())
-
     def check_finite(self) -> None:
         for name, v in self.values.items():
             if not np.all(np.isfinite(v)):
                 raise FloatingPointError(f"non-finite values in parameter {name!r}")
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.values.items()}
 
 
 class Var:
@@ -140,6 +139,8 @@ def _tape_of(*args) -> Tape | None:
 
 def value_of(x):
     """Raw numpy value of a Var or passthrough for plain arrays/scalars."""
+    if type(x) is np.ndarray and x.dtype is _F64:
+        return x
     return x.value if isinstance(x, Var) else _arr(x)
 
 
@@ -450,16 +451,22 @@ def sqrt(a):
     return _node(tape, r, [(a, lambda g: g / (2.0 * r))])
 
 
+def _unit_clip(u):
+    """np.clip(u, 0, 1) bit for bit, -0.0 and NaN included, at less dispatch."""
+    return np.minimum(np.maximum(0.0, u), 1.0)
+
+
 def smooth_relu(a, d: float):
     """C1 ramp: 0 for u<=0, u^2/(2d) for 0<u<d, u-d/2 beyond."""
     if d <= 0:
         raise ValueError("smooth_relu knot d must be positive")
     tape = _tape_of(a)
     av = value_of(a)
-    val = np.where(av <= 0.0, 0.0, np.where(av < d, av * av / (2.0 * d), av - d / 2.0))
+    r = np.maximum(av, 0.0)
+    val = np.where(r < d, r * r / (2.0 * d), r - d / 2.0)
     if tape is None:
         return val
-    slope = np.clip(av / d, 0.0, 1.0)
+    slope = _unit_clip(av / d)
     return _node(tape, val, [(a, lambda g: g * slope)])
 
 
@@ -469,7 +476,7 @@ def smooth_relu_deriv(a, d: float):
         raise ValueError("smooth_relu knot d must be positive")
     tape = _tape_of(a)
     av = value_of(a)
-    val = np.clip(av / d, 0.0, 1.0)
+    val = _unit_clip(av / d)
     if tape is None:
         return val
     inside = ((av > 0.0) & (av < d)) / d

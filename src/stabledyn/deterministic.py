@@ -138,46 +138,52 @@ def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
     Returns (gamma, residual, newton_iters, bisect_iters).
     """
     B = Y.shape[0]
-    lo = np.zeros(B)
-    hi = np.ones(B)
     gamma = np.ones(B)
+    n_newton = np.zeros(B, dtype=int)
+    n_bisect = np.zeros(B, dtype=int)
 
     v, gv = lyap.value_and_grad(Y, store)
     g = v - target
     gp = (gv * Y).sum(axis=-1)
-    n_newton = np.zeros(B, dtype=int)
-    n_bisect = np.zeros(B, dtype=int)
-    active = np.abs(g) > rootfind_tol
+    # the rows still iterating, compacted in their original order; a row's
+    # results go back to the full arrays once, when it converges
+    rows = np.flatnonzero(np.abs(g) > rootfind_tol)
+    Yc, tc, gc, gpc = Y[rows], target[rows], g[rows], gp[rows]
+    gam = np.ones(rows.size)
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    nn = np.zeros(rows.size, dtype=int)
+    nb = np.zeros(rows.size, dtype=int)
 
-    while np.any(active):
-        idx = np.flatnonzero(active)
+    while rows.size:
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = gamma[idx] - g[idx] / np.where(gp[idx] == 0.0, np.nan, gp[idx])
-        ok = ((n_newton[idx] < max_newton) & np.isfinite(newton)
-              & (lo[idx] < newton) & (newton < hi[idx]))
-        stalled = ~ok & (n_bisect[idx] >= max_bisect)
+            newton = gam - gc / np.where(gpc == 0.0, np.nan, gpc)
+        ok = (nn < max_newton) & np.isfinite(newton) & (lo < newton) & (newton < hi)
+        stalled = ~ok & (nb >= max_bisect)
         if np.any(stalled):
-            b = int(idx[stalled][0])
+            i = int(np.flatnonzero(stalled)[0])
+            b = int(rows[i])
             raise RootFindError(
-                f"gamma solve stalled in row {b}: bracket [{lo[b]:.6g}, {hi[b]:.6g}], "
-                f"|g| = {abs(g[b]):.3g} > {rootfind_tol:.3g}",
-                row=b, lo=float(lo[b]), hi=float(hi[b]), residual=float(abs(g[b])))
-        cand = np.where(ok, newton, 0.5 * (lo[idx] + hi[idx]))
-        n_newton[idx[ok]] += 1
-        n_bisect[idx[~ok]] += 1
+                f"gamma solve stalled in row {b}: bracket [{lo[i]:.6g}, {hi[i]:.6g}], "
+                f"|g| = {abs(gc[i]):.3g} > {rootfind_tol:.3g}",
+                row=b, lo=float(lo[i]), hi=float(hi[i]), residual=float(abs(gc[i])))
+        gam = np.where(ok, newton, 0.5 * (lo + hi))
+        nn += ok
+        nb += ~ok
 
-        P = cand[:, None] * Y[idx]
-        v_c, gv_c = lyap.value_and_grad(P, store)
-        g_c = v_c - target[idx]
-        gp_c = (gv_c * Y[idx]).sum(axis=-1)
+        v_c, gv_c = lyap.value_and_grad(gam[:, None] * Yc, store)
+        gc = v_c - tc
+        gpc = (gv_c * Yc).sum(axis=-1)
+        above = gc > 0.0
+        hi = np.where(above, gam, hi)
+        lo = np.where(above, lo, gam)
 
-        gamma[idx] = cand
-        g[idx] = g_c
-        gp[idx] = gp_c
-        above = g_c > 0.0
-        hi[idx[above]] = cand[above]
-        lo[idx[~above]] = cand[~above]
-        active[idx] = np.abs(g_c) > rootfind_tol
+        going = np.abs(gc) > rootfind_tol
+        if not going.all():
+            done = ~going
+            r = rows[done]
+            gamma[r], g[r], n_newton[r], n_bisect[r] = gam[done], gc[done], nn[done], nb[done]
+            rows, Yc, tc, gc, gpc = rows[going], Yc[going], tc[going], gc[going], gpc[going]
+            gam, lo, hi, nn, nb = gam[going], lo[going], hi[going], nn[going], nb[going]
 
     return gamma, np.abs(g), n_newton, n_bisect
 

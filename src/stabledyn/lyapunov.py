@@ -13,7 +13,18 @@ Three constructions, all satisfying V(0) = 0 and V(x) >= eps*||x||^2:
                 convex and nonnegative.
 
 The convex variants wrap g(x) - g(0) in smooth_relu before adding the
-quadratic floor. Gradients w.r.t. the input are built as expressions from the
+quadratic floor; lnn adds the floor to g(x) - g(0) directly.
+
+g(0) is never computed by running the net on a zero input. lnn and
+convex_lnn are bias-free and smooth_relu(0) = 0, so phi(0) = 0 and
+g(0) = 0 exactly: g itself is the excess. In the icnn every input term
+linear(0, W) is an exact +-0 and adding it changes no bit, so g(0) follows
+from the biases alone: z1 = smooth_relu(b0), z2 = smooth_relu(U1 z1 + b1),
+g(0) = u2 z2 + b2. Both equal, bit for bit, what the full pass on
+np.zeros(dim) returns, and that pass's tape nodes would carry only
+exact-zero gradients.
+
+Gradients w.r.t. the input are built as expressions from the
 same primitives, so they can be recorded on a tape and differentiated again
 w.r.t. the weights.
 """
@@ -108,12 +119,11 @@ class LyapunovNet:
 
     def _eval(self, x, store, tape, need_grad: bool):
         if self.variant in ("lnn", "convex_lnn"):
-            g, g0, seed_fn = self._mlp_body(x, store, tape)
+            excess, seed_fn = self._mlp_body(x, store, tape)
         else:
-            g, g0, seed_fn = self._icnn_body(x, store, tape)
+            excess, seed_fn = self._icnn_body(x, store, tape)
 
         quad = ad.mul(ad.rowdot(x, x), self.epsilon)
-        excess = ad.sub(g, g0)
         if self.variant == "lnn":
             V = ad.add(excess, quad)
         else:
@@ -132,10 +142,8 @@ class LyapunovNet:
     def _mlp_body(self, x, store, tape):
         cache = []
         phi = self._mlp.forward(x, store, tape, cache)
+        # bias-free with act(0) = 0, so phi(0) = 0 and g(0) = 0 exactly
         g = ad.rowdot(phi, phi)
-        zeros = np.zeros(self.dim)
-        phi0 = self._mlp.forward(zeros, store, tape)
-        g0 = ad.rowdot(phi0, phi0)
 
         def seed_fn(s):
             dphi = ad.mul(phi, 2.0)
@@ -143,7 +151,7 @@ class LyapunovNet:
                 dphi = ad.mul(ad.expand_last(s), dphi)
             return self._mlp.vjp_input(dphi, cache, store, tape)
 
-        return g, g0, seed_fn
+        return g, seed_fn
 
     def _icnn_body(self, x, store, tape):
         p = self.prefix
@@ -156,16 +164,15 @@ class LyapunovNet:
         U1, W1, b1 = P("U1"), P("W1"), P("b1")
         u2, w2, b2 = P("u2"), P("w2"), P("b2")
 
-        def body(inp):
-            a1 = ad.linear(inp, W0, b0)
-            z1 = ad.smooth_relu(a1, self.d)
-            a2 = ad.add(ad.linear(z1, U1, b1), ad.linear(inp, W1))
-            z2 = ad.smooth_relu(a2, self.d)
-            g = ad.squeeze_last(ad.add(ad.linear(z2, u2, b2), ad.linear(inp, w2)))
-            return g, a1, a2
-
-        g, a1, a2 = body(x)
-        g0 = body(np.zeros(self.dim))[0]
+        a1 = ad.linear(x, W0, b0)
+        z1 = ad.smooth_relu(a1, self.d)
+        a2 = ad.add(ad.linear(z1, U1, b1), ad.linear(x, W1))
+        z2 = ad.smooth_relu(a2, self.d)
+        g = ad.squeeze_last(ad.add(ad.linear(z2, u2, b2), ad.linear(x, w2)))
+        # g(0) from the biases alone: each dropped linear(0, W) term is an exact +-0
+        z1_0 = ad.smooth_relu(b0, self.d)
+        z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), self.d)
+        g0 = ad.squeeze_last(ad.linear(z2_0, u2, b2))
 
         def seed_fn(s):
             se = ad.expand_last(s)
@@ -178,7 +185,7 @@ class LyapunovNet:
                 ad.linear_t(se, w2),
             )
 
-        return g, g0, seed_fn
+        return ad.sub(g, g0), seed_fn
 
 
 def make_lyapunov(variant: str, dim: int, hidden=(25, 25), epsilon: float = 0.001,

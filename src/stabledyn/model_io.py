@@ -52,7 +52,11 @@ def save_model(path, model, store: ParamStore) -> None:
 
 
 def load_model(path):
-    """Rebuild (model, store) from a saved file."""
+    """Rebuild (model, store) from a saved file.
+
+    Raises ValueError when the saved parameters do not match, by name and
+    shape, the architecture the file describes.
+    """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -76,4 +80,21 @@ def load_model(path):
     store = ParamStore()
     for name, vals in doc["params"].items():
         store.add(name, np.asarray(vals, dtype=np.float64))
+    _check_params(model, store)
     return model, store
+
+
+def _check_params(model, store: ParamStore) -> None:
+    """Refuse parameters that do not fit the architecture the file names."""
+    expected = ParamStore()
+    model.init_params(expected, np.random.default_rng(0))
+    want, got = expected.shapes(), store.shapes()
+    for name, shape in want.items():
+        if name not in got:
+            raise ValueError(f"saved model lacks parameter {name!r}")
+        if got[name] != shape:
+            raise ValueError(f"parameter {name!r} has shape {got[name]}, "
+                             f"the architecture needs {shape}")
+    for name in got:
+        if name not in want:
+            raise ValueError(f"saved model has unexpected parameter {name!r}")

@@ -167,11 +167,6 @@ def mdn_nll(out: MdnOutput, y) -> object:
     return ad.neg(ad.mean(ad.logsumexp(comp_ll)))
 
 
-def mdn_loss_expr(model: StochasticModel, store: ad.ParamStore, tape: ad.Tape,
-                  X, Y) -> object:
-    return mdn_nll(mdn_forward(model, store, X, tape), Y)
-
-
 def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
                rng: np.random.Generator) -> np.ndarray:
     """Draw one next state per row."""

@@ -104,6 +104,21 @@ def test_smooth_relu_deriv_matches_difference_quotient():
     assert np.allclose(ad.smooth_relu_deriv(u, d), numeric, atol=1e-6)
 
 
+def test_smooth_relu_and_its_slope_match_the_piecewise_form_bit_for_bit():
+    # signed zeros and NaN included: the raw and taped paths must keep every bit
+    d = 0.1
+    u = np.array([-0.0, 0.0, -3.0, -1e-300, 1e-300, 0.02, d, 0.1000001, 4.0,
+                  np.nan, np.inf, -np.inf])
+    val = np.where(u <= 0.0, 0.0, np.where(u < d, u * u / (2.0 * d), u - d / 2.0))
+    slope = np.clip(u / d, 0.0, 1.0)
+    assert ad.smooth_relu(u, d).tobytes() == val.tobytes()
+    assert ad.smooth_relu_deriv(u, d).tobytes() == slope.tobytes()
+    tape = Tape()
+    x = tape.input(u)
+    tape.backward(ad.vsum(ad.smooth_relu(x, d)))
+    assert x.grad.tobytes() == slope.tobytes()
+
+
 def test_logsumexp_matches_direct():
     rng = np.random.default_rng(1)
     a = rng.normal(scale=30.0, size=(6, 4))

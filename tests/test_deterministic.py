@@ -176,6 +176,43 @@ def test_solver_batch_of_mixed_rows():
     assert np.all(nb <= 10)
 
 
+def test_solver_batch_matches_rowwise_solves_exactly():
+    # with two Newton steps allowed, rows whose root is far from 1 finish by
+    # bisection; rows leave the batch at different iterations
+    v = PolyV(c2=1.0, c4=0.5)
+    Y = np.array([[1.0, 0.5], [2.0, 0.0], [0.3, -1.2], [-1.5, 2.0], [0.8, 0.8],
+                  [3.0, 1.0], [-0.4, 0.1]])
+    frac = np.array([1.0 - 1e-13, 0.98, 0.6, 0.01, 0.3, 0.001, 0.9])
+    T = v.value_and_grad(Y, None)[0] * frac
+    kw = dict(rootfind_tol=1e-6, max_newton=2, max_bisect=60)
+    gamma, res, nn, nb = solve_gamma_batch(v, None, Y, T, **kw)
+    assert gamma[0] == 1.0 and nn[0] == 0 and nb[0] == 0
+    assert np.any((nn > 0) & (nb == 0)) and np.any(nb > 0)
+    for b in range(Y.shape[0]):
+        g1, r1, n1, b1 = solve_gamma_batch(v, None, Y[b:b + 1], T[b:b + 1], **kw)
+        assert np.array_equal(gamma[b:b + 1], g1), b
+        assert np.array_equal(res[b:b + 1], r1), b
+        assert (nn[b], nb[b]) == (n1[0], b1[0]), b
+
+
+def test_solver_stall_names_the_input_row_and_its_own_bracket():
+    # a zero prediction never moves V, so its Newton slope is 0 and bisection
+    # runs out; rows 0, 1 and 3 converge and leave the batch before that
+    v = PolyV()
+    Y = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+    T = np.array([0.99, 1.0, -1.0, 4.5, -2.0])
+    kw = dict(rootfind_tol=1e-10, max_newton=50, max_bisect=20)
+    with pytest.raises(RootFindError) as exc:
+        solve_gamma_batch(v, None, Y, T, **kw)
+    with pytest.raises(RootFindError) as alone:
+        solve_gamma_batch(v, None, Y[2:3], T[2:3], **kw)
+    err, ref = exc.value, alone.value
+    assert err.row == 2 and ref.row == 0
+    assert (err.lo, err.hi, err.residual) == (ref.lo, ref.hi, ref.residual)
+    assert err.lo == 0.0 and err.hi == 0.5 ** 20
+    assert "row 2" in str(err)
+
+
 @pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])
 def test_implicit_residuals_and_budgets_on_random_nets(variant):
     hits = 0

@@ -186,3 +186,59 @@ def test_value_and_grad_are_trainable_expressions(variant):
 
     report = grad_check(f, store, h=1e-5)
     assert report.max_rel_err < 1e-4, (variant, report.max_rel_err, report.worst_param)
+
+
+# -- g(0) without a zero-input forward pass --------------------------------
+
+@pytest.mark.parametrize("variant", ["lnn", "convex_lnn"])
+def test_bias_free_variants_map_the_origin_to_exactly_zero(variant):
+    # V uses g itself as the excess g - g(0); that is exact only if phi(0) = 0
+    for seed in range(6):
+        net, store = _fresh(variant, dim=3, hidden=(7, 5), seed=seed)
+        assert np.all(net._mlp.forward(np.zeros(3), store) == 0.0), (variant, seed)
+        rng = np.random.default_rng(seed)
+        for v in store.values.values():
+            v[...] = rng.normal(scale=2.0, size=v.shape)
+        net.clamp(store)
+        assert np.all(net._mlp.forward(np.zeros(3), store) == 0.0), (variant, seed)
+        assert net.value(np.zeros(3), store) == 0.0
+
+
+def _srelu(u, d):
+    return np.where(u <= 0.0, 0.0, np.where(u < d, u * u / (2.0 * d), u - d / 2.0))
+
+
+def _icnn_full_body(net, store, x):
+    """g(x) with every term, the zero-input linear maps included."""
+    p = {k.split(".", 1)[1]: v for k, v in store.values.items()}
+    z1 = _srelu(x @ p["W0"].T + p["b0"], net.d)
+    z2 = _srelu((z1 @ p["U1"].T + p["b1"]) + x @ p["W1"].T, net.d)
+    return ((z2 @ p["u2"].T + p["b2"]) + x @ p["w2"].T)[..., 0]
+
+
+def test_icnn_bias_only_g0_equals_the_full_body_at_the_origin():
+    rng = np.random.default_rng(31)
+    for seed in range(8):
+        net, store = _fresh("icnn", dim=2, hidden=(9,), seed=seed)
+        for name in ("W0", "W1", "w2", "b1", "b2"):
+            v = store.values[f"V.{name}"]
+            v[...] = rng.normal(size=v.shape)
+            v.flat[0] = -abs(v.flat[0])
+        # b0 on both sides of 0 and of the knot d, exact 0 and d included
+        d = net.d
+        store.values["V.b0"][...] = [-2 * d, -d / 2, 0.0, d / 4, d / 2, d, 1.5 * d, 3 * d, -5 * d]
+        store.values["V.U1"][...] = rng.uniform(0.0, 1.0, size=(9, 9))
+        store.values["V.u2"][...] = rng.uniform(0.0, 1.0, size=(1, 9))
+        X = rng.uniform(-3.0, 3.0, size=(16, 2))
+        X[0] = 0.0
+        ref = _icnn_full_body(net, store, X) - _icnn_full_body(net, store, np.zeros(2))
+        excess, _ = net._icnn_body(X, store, None)
+        assert np.array_equal(excess, ref), seed
+        # x - y == 0 exactly only if x == y: the bias-only g(0) is the full
+        # body's (a zero row inside a batch goes through another matmul kernel,
+        # so only the single-state origin must come out exactly 0)
+        assert net._icnn_body(np.zeros(2), store, None)[0] == 0.0
+        assert net.value(np.zeros(2), store) == 0.0
+        tape = Tape()
+        excess_t, _ = net._icnn_body(tape.input(X), store, tape)
+        assert np.array_equal(ad.value_of(excess_t), ref), seed

@@ -109,3 +109,44 @@ def test_unknown_kind_rejected(tmp_path):
 def test_saving_a_plain_object_fails(tmp_path):
     with pytest.raises(ValueError):
         save_model(tmp_path / "m.json", object(), ParamStore())
+
+
+def _saved_doc(tmp_path):
+    model = make_model("implicit", 2, "icnn", hidden_f=(5,), hidden_v=(4,))
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(8))
+    p = tmp_path / "m.json"
+    save_model(p, model, store)
+    return p, json.loads(p.read_text())
+
+
+def test_missing_parameter_rejected(tmp_path):
+    p, doc = _saved_doc(tmp_path)
+    del doc["params"]["V.U1"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="lacks parameter 'V.U1'"):
+        load_model(p)
+
+
+def test_extra_parameter_rejected(tmp_path):
+    p, doc = _saved_doc(tmp_path)
+    doc["params"]["V.W2"] = [[0.5, 0.5]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unexpected parameter 'V.W2'"):
+        load_model(p)
+
+
+def test_misshaped_parameter_rejected(tmp_path):
+    p, doc = _saved_doc(tmp_path)
+    doc["params"]["f.W1"] = [row + [0.0] for row in doc["params"]["f.W1"]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"'f.W1' has shape \(2, 6\).*\(2, 5\)"):
+        load_model(p)
+
+
+def test_architecture_check_passes_a_clean_round_trip(tmp_path):
+    p, doc = _saved_doc(tmp_path)
+    m2, s2 = load_model(p)
+    assert list(s2.values) == list(doc["params"])
+    for k, v in doc["params"].items():
+        assert np.array_equal(s2.values[k], np.asarray(v)), k
