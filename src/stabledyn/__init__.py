@@ -3,8 +3,8 @@
 from .autodiff import GradCheckReport, ParamStore, Tape, Var, grad_check
 from .deterministic import (RootFindError, StableModel, StepInfo,
                             certified_gamma_expr, certified_gamma_raw,
-                            make_model, model_step, rollout, solve_gamma,
-                            solve_gamma_batch, step_expr)
+                            make_model, model_step, rollout, solve_gamma_batch,
+                            step_expr)
 from .lyapunov import LyapunovNet, make_lyapunov
 from .model_io import load_model, save_model
 from .nets import Mlp
@@ -21,7 +21,7 @@ __all__ = [
     "GradCheckReport", "ParamStore", "Tape", "Var", "grad_check",
     "RootFindError", "StableModel", "StepInfo", "certified_gamma_expr",
     "certified_gamma_raw", "make_model", "model_step", "rollout",
-    "solve_gamma", "solve_gamma_batch", "step_expr",
+    "solve_gamma_batch", "step_expr",
     "LyapunovNet", "make_lyapunov", "Mlp",
     "load_model", "save_model",
     "MdnOutput", "StochasticModel", "make_stochastic_model", "mdn_forward",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, grad_check
-from .deterministic import RootFindError, make_model, model_step, rollout, step_expr
+from .deterministic import RootFindError, make_model, rollout, step_expr
 from .model_io import load_model, save_model
 from .stochastic import (StochasticModel, make_stochastic_model, mdn_forward,
                          mdn_nll, stochastic_rollout)
@@ -340,12 +340,10 @@ def _cmd_gradcheck(args) -> int:
     def loss(params, tape):
         if isinstance(model, StochasticModel):
             value = mdn_nll(mdn_forward(model, params, X, tape), Y)
-            return value if tape is not None else float(ad.value_of(value))
-        if tape is None:
-            pred = model_step(model, params, X)
-            return float(np.mean((pred - Y) ** 2))
-        diff = ad.sub(step_expr(model, params, tape, X), Y)
-        return ad.mean(ad.mul(diff, diff))
+        else:
+            diff = ad.sub(step_expr(model, params, tape, X), Y)
+            value = ad.mean(ad.mul(diff, diff))
+        return value if tape is not None else float(ad.value_of(value))
 
     report = grad_check(loss, store, h=args.h)
     ok = bool(report.max_rel_err <= args.threshold)

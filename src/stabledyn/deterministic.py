@@ -15,12 +15,14 @@ next state:
                itself certify a decrease of V.
 * "none"       the free prediction untouched; the unconstrained baseline.
 
-Steps are batched over rows; the scalar case is a batch of one.
+Steps are batched over rows; the scalar case is a batch of one. One code
+path, built from the autodiff primitives, certifies every step: on raw
+arrays for inference (model_step) and on a tape for training (step_expr).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +36,10 @@ BACKWARD_ROUTES = ("fixed_point", "direct")
 # below this value of V the prediction is already at the quadratic floor;
 # scaling or root-finding there would divide by ~0 for no gain
 ORIGIN_GUARD = 1e-12
+
+# the gamma solver's budgets: Newton steps, then bisection steps
+MAX_NEWTON = 50
+MAX_BISECT = 60
 
 
 class RootFindError(RuntimeError):
@@ -61,6 +67,20 @@ class StepInfo:
     residual: np.ndarray | None = None    # |V(gamma*y) - beta*V(x)| where solved
 
 
+def check_certificate(model, modes) -> None:
+    """Refuse a mode outside modes, and certificate settings no model can honour."""
+    if model.mode not in modes:
+        raise ValueError(f"mode must be one of {modes}")
+    if not 0.0 < model.beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    if model.rootfind_tol <= 0:
+        raise ValueError("rootfind_tol must be positive")
+    if model.backward_route not in BACKWARD_ROUTES:
+        raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
+    if model.mode == "convex" and model.lyap.variant == "lnn":
+        raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
+
+
 @dataclass
 class StableModel:
     """A free predictor plus the Lyapunov machinery that constrains it."""
@@ -70,26 +90,15 @@ class StableModel:
     lyap: LyapunovNet
     beta: float = 0.99
     rootfind_tol: float = 1e-3
-    max_newton: int = 50
-    max_bisect: int = 60
     integrating: bool = False
     backward_route: str = "fixed_point"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.rootfind_tol <= 0:
-            raise ValueError("rootfind_tol must be positive")
-        if self.backward_route not in BACKWARD_ROUTES:
-            raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
+        check_certificate(self, MODES)
         if self.integrating and self.mode not in ("projection", "none"):
             # scaling the whole next state toward the origin has no sensible
             # increment form; only the increment-based models compose with x + delta
             raise ValueError("integrating form needs projection or none mode")
-        if self.mode == "convex" and self.lyap.variant == "lnn":
-            raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
 
     @property
     def dim(self) -> int:
@@ -126,7 +135,7 @@ def convex_gamma(v_x, v_y, beta: float):
 
 def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
                       target: np.ndarray, rootfind_tol: float = 1e-3,
-                      max_newton: int = 50, max_bisect: int = 60):
+                      max_newton: int = MAX_NEWTON, max_bisect: int = MAX_BISECT):
     """Solve V(gamma_b * Y_b) = target_b rowwise on the bracket [0, 1].
 
     Assumes V(Y_b) > target_b > 0 for every row, which gives
@@ -188,21 +197,11 @@ def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
     return gamma, np.abs(g), n_newton, n_bisect
 
 
-def solve_gamma(lyap: LyapunovNet, store: ad.ParamStore, y: np.ndarray, target: float,
-                rootfind_tol: float = 1e-3, max_newton: int = 50, max_bisect: int = 60):
-    """Scalar form of solve_gamma_batch: one state, one target."""
-    y = np.asarray(y, dtype=np.float64)
-    gamma, res, nn, nb = solve_gamma_batch(
-        lyap, store, y[None, :], np.array([float(target)]),
-        rootfind_tol=rootfind_tol, max_newton=max_newton, max_bisect=max_bisect)
-    return float(gamma[0]), {"residual": float(res[0]),
-                             "newton_iters": int(nn[0]), "bisect_iters": int(nb[0])}
-
-
 # ---------------------------------------------------------------------------
-# raw (inference) steps, batched over rows
+# the certified step, raw (tape None) or recorded
 
-def _as_batch(x):
+def as_batch(x):
+    """(batch, dim) view of x, and whether x was a single state."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x[None, :], True
@@ -210,12 +209,12 @@ def _as_batch(x):
 
 
 def certified_gamma_raw(lyap: LyapunovNet, store: ad.ParamStore, y, v_x, v_y,
-                        beta: float, mode: str, rootfind_tol: float = 1e-3,
-                        max_newton: int = 50, max_bisect: int = 60):
+                        beta: float, mode: str, rootfind_tol: float = 1e-3):
     """Row-wise scaling factors, 1.0 where V(y) <= beta*V(x) already holds.
 
     Rows whose prediction sits below the origin guard are left alone even if
     they fail the decrease test; they are within rounding of the fixed point.
+    Returns (gamma, intervened, residual, newton_iters, bisect_iters).
     """
     B = y.shape[0]
     target = beta * v_x
@@ -230,61 +229,119 @@ def certified_gamma_raw(lyap: LyapunovNet, store: ad.ParamStore, y, v_x, v_y,
         # V(x) = 0 only at x = 0; the certified next state is the origin
         gamma[idx[~solvable]] = 0.0
         rows = idx[solvable]
-        if rows.size:
-            if mode == "convex":
-                gamma[rows] = convex_gamma(v_x[rows], v_y[rows], beta)
-            else:
-                g, res, nn, nb = solve_gamma_batch(
-                    lyap, store, y[rows], target[rows], rootfind_tol=rootfind_tol,
-                    max_newton=max_newton, max_bisect=max_bisect)
-                gamma[rows] = g
-                residual[rows] = res
-                n_newton[rows] = nn
-                n_bisect[rows] = nb
+        if rows.size and mode == "convex":
+            gamma[rows] = convex_gamma(v_x[rows], v_y[rows], beta)
+        elif rows.size:
+            gamma[rows], residual[rows], n_newton[rows], n_bisect[rows] = solve_gamma_batch(
+                lyap, store, y[rows], target[rows], rootfind_tol=rootfind_tol)
     return gamma, mask, residual, n_newton, n_bisect
+
+
+def certified_gamma_expr(lyap: LyapunovNet, store: ad.ParamStore, tape: ad.Tape,
+                         y, v_x, beta: float, mode: str, rootfind_tol: float = 1e-3,
+                         backward_route: str = "fixed_point",
+                         info: StepInfo | None = None):
+    """Recorded (B,) scaling factors, or None when no row intervenes.
+
+    certified_gamma_raw makes the decision on raw values: which rows
+    intervene, the origin rows and the forward gamma. What is recorded is
+    only a gradient surrogate on the intervening rows whose value is that
+    gamma; rows left alone carry an exact 1.0. A StepInfo passed as info
+    receives the decision.
+    """
+    v_y = lyap.value(y, store, tape)
+    gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
+        lyap, store, ad.value_of(y), ad.value_of(v_x), ad.value_of(v_y), beta, mode,
+        rootfind_tol)
+    if info is not None:
+        info.intervened, info.gamma, info.residual = mask, gamma, residual
+        info.newton_iters, info.bisect_iters = n_newton, n_bisect
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    if mode != "convex" and np.any(gamma[idx] == 0.0):
+        # V(x) = 0: the root sits at gamma = 0 where grad V vanishes, so the
+        # implicit derivative divides by zero; the closed form has no such problem
+        raise ValueError("intervention at the origin; gamma gradient undefined there")
+
+    y_i = ad.gather_rows(y, idx)
+    vx_i = ad.gather_rows(v_x, idx)
+    if mode == "convex":
+        gam_i = convex_gamma(vx_i, ad.gather_rows(v_y, idx), beta)
+    elif backward_route == "fixed_point":
+        gam_i = _fixed_point_gamma(lyap, store, tape, y_i, vx_i, beta, gamma[idx])
+    else:
+        gam_i = _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma[idx])
+    return ad.scatter_rows(gam_i, idx, mask.size, fill=1.0)
+
+
+def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
+    """The certified next state for the prediction y = fhat(X), and its StepInfo.
+
+    Built from the autodiff primitives: on raw arrays when tape is None, on
+    the tape otherwise. Rows left alone pass y through bit-exactly.
+    """
+    if model.mode == "none":
+        out = ad.add(X, y) if model.integrating else y
+        return out, StepInfo(intervened=np.zeros(X.shape[0], dtype=bool))
+    if model.mode == "projection":
+        return _projection(model, store, tape, X, y)
+
+    v_x = model.lyap.value(X, store, tape)
+    if tape is None:
+        gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
+            model.lyap, store, y, v_x, model.lyap.value(y, store), model.beta,
+            model.mode, model.rootfind_tol)
+        info = StepInfo(mask, gamma, n_newton, n_bisect, residual)
+        gamma = gamma if mask.any() else None
+    else:
+        info = StepInfo(intervened=None)
+        gamma = certified_gamma_expr(model.lyap, store, tape, y, v_x, model.beta,
+                                     model.mode, model.rootfind_tol,
+                                     model.backward_route, info=info)
+    return (y if gamma is None else ad.scale_rows(y, gamma)), info
+
+
+def _projection(model: StableModel, store: ad.ParamStore, tape, X, y):
+    """Remove the part of the increment that ascends along grad V(X)."""
+    delta = y if model.integrating else ad.sub(y, X)
+    gv = model.lyap.grad(X, store, tape)
+    dot = ad.rowdot(gv, delta)
+    mask = ad.value_of(dot) > 0.0
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        gv_i = ad.gather_rows(gv, idx)
+        coef_i = ad.div(ad.gather_rows(dot, idx), ad.rowdot(gv_i, gv_i))
+        coef = ad.scatter_rows(coef_i, idx, mask.size, fill=0.0)
+        delta = ad.sub(delta, ad.scale_rows(gv, coef))
+    return ad.add(X, delta), StepInfo(intervened=mask)
 
 
 def model_step(model: StableModel, store: ad.ParamStore, x, want_info: bool = False):
     """One certified step for a batch of states (or a single state)."""
-    X, single = _as_batch(x)
-    y = model.fhat.forward(X, store)
-
-    if model.mode == "none":
-        out = X + y if model.integrating else y
-        info = StepInfo(intervened=np.zeros(X.shape[0], dtype=bool))
-    elif model.mode == "projection":
-        out, intervened = _projection_raw(model, store, X, y)
-        info = StepInfo(intervened=intervened)
-    else:
-        v_x = model.lyap.value(X, store)
-        v_y = model.lyap.value(y, store)
-        gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-            model.lyap, store, y, v_x, v_y, model.beta, model.mode,
-            model.rootfind_tol, model.max_newton, model.max_bisect)
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            out = y.copy()
-            out[idx] = gamma[idx, None] * y[idx]
-        else:
-            out = y
-        info = StepInfo(intervened=mask, gamma=gamma, residual=residual,
-                        newton_iters=n_newton, bisect_iters=n_bisect)
-
+    X, single = as_batch(x)
+    out, info = _certify(model, store, None, X, model.fhat.forward(X, store))
     if single:
         out = out[0]
     return (out, info) if want_info else out
 
 
-def _projection_raw(model, store, X, y):
-    delta = y if model.integrating else y - X
-    gv = model.lyap.grad(X, store)
-    dot = (gv * delta).sum(axis=-1)
-    mask = dot > 0.0
-    delta_p = delta.copy()
-    if np.any(mask):
-        denom = (gv[mask] * gv[mask]).sum(axis=-1)
-        delta_p[mask] = delta[mask] - (dot[mask] / denom)[:, None] * gv[mask]
-    return X + delta_p, mask
+def step_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape | None, X,
+              return_free: bool = False):
+    """The certified step of a (batch, dim) input, recorded on tape.
+
+    The intervention pattern is decided on raw values and then frozen into
+    the expression; gradients are exact on each side of the switching
+    surface. With tape None the step runs raw, as in model_step. With
+    return_free the free prediction fhat(X) comes back as well, as
+    (step, free).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("step_expr expects a (batch, dim) input")
+    y = model.fhat.forward(X, store, tape)
+    out, _ = _certify(model, store, tape, X, y)
+    return (out, y) if return_free else out
 
 
 def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
@@ -294,7 +351,7 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     Returns trajectory of shape (steps+1, n) or (B, steps+1, n); with
     record_v also the V values along it, shape (steps+1,) or (B, steps+1).
     """
-    X, single = _as_batch(x0)
+    X, single = as_batch(x0)
     B, n = X.shape
     traj = np.empty((B, steps + 1, n))
     traj[:, 0] = X
@@ -315,109 +372,20 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# recorded (training) steps
+# gradient surrogates for the solved gamma
 
-def step_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape, X,
-              return_free: bool = False):
-    """Build the certified step as a tape expression for a raw input batch.
+def _fixed_point_gamma(lyap, store, tape, y_i, vx_i, beta, gamma):
+    """One more Newton map F(g) = g - (V(g y) - beta Vx)/(grad V(g y)^T y).
 
-    The intervention pattern is decided on raw values and then frozen into
-    the expression; gradients are exact on each side of the switching
-    surface. Rows left alone pass fhat through bit-exactly. With
-    return_free the recorded free prediction fhat(X) comes back as well,
-    as (step, free).
+    The incoming gamma is held constant; at the root dF/dgamma = 0, so
+    differentiating this single sweep gives the implicit derivative. The
+    forward value stays the solved gamma.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("step_expr expects a (batch, dim) input")
-    y = model.fhat.forward(X, store, tape)
-    out = _certify_expr(model, store, tape, X, y)
-    return (out, y) if return_free else out
-
-
-def _certify_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape, X, y):
-    if model.mode == "none":
-        return ad.add(X, y) if model.integrating else y
-    if model.mode == "projection":
-        return _projection_expr(model, store, tape, X, y)
-
-    v_x = model.lyap.value(X, store, tape)
-    gamma = certified_gamma_expr(
-        model.lyap, store, tape, y, v_x, model.beta, model.mode,
-        model.rootfind_tol, model.max_newton, model.max_bisect,
-        model.backward_route)
-    if gamma is None:
-        return y
-    return ad.scale_rows(y, gamma)
-
-
-def certified_gamma_expr(lyap: LyapunovNet, store: ad.ParamStore, tape: ad.Tape,
-                         y, v_x, beta: float, mode: str, rootfind_tol: float = 1e-3,
-                         max_newton: int = 50, max_bisect: int = 60,
-                         backward_route: str = "fixed_point"):
-    """Recorded (B,) scaling factors, or None when no row intervenes.
-
-    Which rows intervene is decided on raw values; non-intervening rows carry
-    an exact 1.0.
-    """
-    v_y = lyap.value(y, store, tape)
-    B = ad.value_of(y).shape[0]
-    vy_raw = ad.value_of(v_y)
-    mask = (vy_raw > beta * ad.value_of(v_x)) & (vy_raw >= ORIGIN_GUARD)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return None
-    if mode != "convex" and np.any(beta * ad.value_of(v_x)[idx] <= 0.0):
-        # the root sits at gamma = 0 where grad V vanishes, so the implicit
-        # derivative divides by zero; the closed form has no such problem
-        raise ValueError("intervention at the origin; gamma gradient undefined there")
-
-    y_i = ad.gather_rows(y, idx)
-    vx_i = ad.gather_rows(v_x, idx)
-    if mode == "convex":
-        gam_i = convex_gamma(vx_i, ad.gather_rows(v_y, idx), beta)
-    else:
-        gam_i = _implicit_gamma_rows(lyap, store, tape, y_i, vx_i, beta,
-                                     rootfind_tol, max_newton, max_bisect,
-                                     backward_route)
-    return ad.scatter_rows(gam_i, idx, B, fill=1.0)
-
-
-def _projection_expr(model, store, tape, X, y):
-    B = X.shape[0]
-    delta = y if model.integrating else ad.sub(y, X)
-    gv = model.lyap.grad(X, store, tape)
-    dot = ad.rowdot(gv, delta)
-    idx = np.flatnonzero(ad.value_of(dot) > 0.0)
-    if idx.size == 0:
-        return ad.add(X, delta)
-    gv_i = ad.gather_rows(gv, idx)
-    coef_i = ad.div(ad.gather_rows(dot, idx), ad.rowdot(gv_i, gv_i))
-    coef = ad.scatter_rows(coef_i, idx, B, fill=0.0)
-    return ad.add(X, ad.sub(delta, ad.scale_rows(gv, coef)))
-
-
-def _implicit_gamma_rows(lyap, store, tape, y_i, vx_i, beta, rootfind_tol,
-                         max_newton, max_bisect, backward_route):
-    """gamma as a differentiable quantity for rows that need the solve."""
-    Y = ad.value_of(y_i)
-    target = beta * ad.value_of(vx_i)
-    gamma, _, _, _ = solve_gamma_batch(
-        lyap, store, Y, target, rootfind_tol=rootfind_tol,
-        max_newton=max_newton, max_bisect=max_bisect)
-
-    if backward_route == "fixed_point":
-        # one more Newton map F(g) = g - (V(g y) - beta Vx)/(grad V(g y)^T y),
-        # with the incoming gamma held constant; at the root dF/dgamma = 0, so
-        # differentiating this single sweep gives the implicit derivative
-        p = ad.scale_rows(y_i, gamma)
-        v_p, gv_p = lyap.value_and_grad(p, store, tape)
-        g = ad.sub(v_p, ad.mul(vx_i, beta))
-        gp = ad.rowdot(gv_p, y_i)
-        gamma_expr = ad.sub(gamma, ad.div(g, gp))
-        return ad.override_value(gamma_expr, gamma)
-
-    return _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma)
+    p = ad.scale_rows(y_i, gamma)
+    v_p, gv_p = lyap.value_and_grad(p, store, tape)
+    g = ad.sub(v_p, ad.mul(vx_i, beta))
+    gp = ad.rowdot(gv_p, y_i)
+    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)
 
 
 def _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma):

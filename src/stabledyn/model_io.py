@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParamStore
-from .deterministic import StableModel, make_model
+from .deterministic import MAX_BISECT, MAX_NEWTON, StableModel, make_model
 from .stochastic import StochasticModel, make_stochastic_model
 
 FORMAT_VERSION = 1
@@ -27,8 +27,6 @@ def save_model(path, model, store: ParamStore) -> None:
         "mode": model.mode,
         "beta": model.beta,
         "rootfind_tol": model.rootfind_tol,
-        "max_newton": model.max_newton,
-        "max_bisect": model.max_bisect,
         "backward_route": model.backward_route,
         "variant": model.lyap.variant,
         "dim": model.lyap.dim,
@@ -37,16 +35,13 @@ def save_model(path, model, store: ParamStore) -> None:
         "d": model.lyap.d,
     }
     if isinstance(model, StochasticModel):
-        doc["kind"] = "mdn"
-        doc["k"] = model.k
-        doc["sigma_cap"] = model.sigma_cap
-        doc["hidden_f"] = list(model.trunk.layer_dims[1:-1])
-        doc["activation"] = model.trunk.activation
+        doc.update(kind="mdn", k=model.k, sigma_cap=model.sigma_cap)
+        net = model.trunk
     else:
-        doc["kind"] = "deterministic"
-        doc["integrating"] = model.integrating
-        doc["hidden_f"] = list(model.fhat.layer_dims[1:-1])
-        doc["activation"] = model.fhat.activation
+        doc.update(kind="deterministic", integrating=model.integrating)
+        net = model.fhat
+    doc["hidden_f"] = list(net.layer_dims[1:-1])
+    doc["activation"] = net.activation
     doc["params"] = {k: v.tolist() for k, v in store.values.items()}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -74,8 +69,11 @@ def load_model(path):
                                       **common)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    model.max_newton = doc["max_newton"]
-    model.max_bisect = doc["max_bisect"]
+    # older files record the solver budgets, which every model now shares
+    for key, budget in (("max_newton", MAX_NEWTON), ("max_bisect", MAX_BISECT)):
+        if doc.get(key, budget) != budget:
+            raise ValueError(f"{key} = {doc[key]!r} is not supported; the solver "
+                             f"budget is fixed at {budget}")
 
     store = ParamStore()
     for name, vals in doc["params"].items():

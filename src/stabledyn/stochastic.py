@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import certified_gamma_expr, certified_gamma_raw
+from .deterministic import (StepInfo, as_batch, certified_gamma_expr,
+                            certified_gamma_raw, check_certificate)
 from .lyapunov import LyapunovNet, make_lyapunov
 from .nets import Mlp
 
@@ -38,20 +39,15 @@ class StochasticModel:
     k: int
     beta: float = 0.99
     rootfind_tol: float = 1e-3
-    max_newton: int = 50
-    max_bisect: int = 60
     sigma_cap: float = 1.0
     backward_route: str = "fixed_point"
 
     def __post_init__(self):
-        if self.mode not in STAB_MODES:
-            raise ValueError(f"stochastic mode must be one of {STAB_MODES}")
+        check_certificate(self, STAB_MODES)
         if self.k < 1:
             raise ValueError("need at least one mixture component")
         if self.sigma_cap <= 0:
             raise ValueError("sigma_cap must be positive")
-        if self.mode == "convex" and self.lyap.variant == "lnn":
-            raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
 
     @property
     def dim(self) -> int:
@@ -125,19 +121,16 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
 
     v_x = model.lyap.value(X, store, tape)
     if tape is None:
-        v_mu = model.lyap.value(ad.value_of(mu_mix), store)
         gamma, mask, _, _, _ = certified_gamma_raw(
-            model.lyap, store, ad.value_of(mu_mix), ad.value_of(v_x), v_mu,
-            model.beta, model.mode, model.rootfind_tol,
-            model.max_newton, model.max_bisect)
-        gv = gamma if np.any(mask) else None
+            model.lyap, store, mu_mix, v_x, model.lyap.value(mu_mix, store),
+            model.beta, model.mode, model.rootfind_tol)
+        gv = gamma if mask.any() else None
     else:
+        info = StepInfo(intervened=None)
         gv = certified_gamma_expr(
             model.lyap, store, tape, mu_mix, v_x, model.beta, model.mode,
-            model.rootfind_tol, model.max_newton, model.max_bisect,
-            model.backward_route)
-        gamma = np.ones(B) if gv is None else ad.value_of(gv)
-        mask = gamma != 1.0
+            model.rootfind_tol, model.backward_route, info=info)
+        gamma, mask = info.gamma, info.intervened
 
     if gv is not None:
         scale = ad.expand_last(ad.expand_last(gv))
@@ -170,10 +163,7 @@ def mdn_nll(out: MdnOutput, y) -> object:
 def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
                rng: np.random.Generator) -> np.ndarray:
     """Draw one next state per row."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+    X, single = as_batch(x)
     out = mdn_forward(model, store, X)
     pi, mu, sigma = out.pi, out.mu, out.sigma
     B = X.shape[0]
@@ -187,10 +177,8 @@ def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
 
 def mdn_mean_step(model: StochasticModel, store: ad.ParamStore, x) -> np.ndarray:
     """The mixture mean at a batch of states, as a plain next-state map."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    out = mdn_forward(model, store, X[None, :] if single else X)
-    m = out.mu_mix
+    X, single = as_batch(x)
+    m = mdn_forward(model, store, X).mu_mix
     return m[0] if single else m
 
 

@@ -169,11 +169,9 @@ def evaluate_mse(model: StableModel, store: ad.ParamStore,
 def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
     """Breaches of the model's own certificate over one pass through X."""
     X = np.asarray(X, dtype=np.float64)
-    if isinstance(model, StochasticModel):
-        pred = ad.value_of(mdn_forward(model, store, X).mu_mix)
-        return _count_violations(model, store, X, pred, True)
-    pred = model_step(model, store, X)
-    return _count_violations(model, store, X, pred, False)
+    is_mdn = isinstance(model, StochasticModel)
+    pred = mdn_forward(model, store, X).mu_mix if is_mdn else model_step(model, store, X)
+    return _count_violations(model, store, X, pred, is_mdn)
 
 
 def evaluate_nll(model: StochasticModel, store: ad.ParamStore,

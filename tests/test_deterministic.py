@@ -4,8 +4,8 @@ import pytest
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
 from stabledyn.deterministic import (RootFindError, convex_gamma, make_model,
-                                     model_step, rollout, solve_gamma,
-                                     solve_gamma_batch, step_expr)
+                                     model_step, rollout, solve_gamma_batch,
+                                     step_expr)
 
 
 class PolyV:
@@ -135,6 +135,7 @@ def test_solver_quadratic_oracle():
     assert abs(gamma[0] - want) < 1e-6
     assert res[0] <= 1e-9
     assert abs(gamma[0] - 0.49749371855331) < 1e-6
+    assert nb[0] <= 10
 
 
 def test_solver_quartic_oracle():
@@ -145,14 +146,6 @@ def test_solver_quartic_oracle():
     gamma, res, _, _ = solve_gamma_batch(v, None, np.array([[2.0, 0.0]]),
                                          np.array([1.485]), rootfind_tol=1e-10)
     assert abs(gamma[0] - want) < 1e-6
-
-
-def test_solver_scalar_wrapper():
-    gamma, info = solve_gamma(PolyV(), None, np.array([2.0, 0.0]), 0.99,
-                              rootfind_tol=1e-9)
-    assert abs(gamma - np.sqrt(0.99) / 2.0) < 1e-6
-    assert info["residual"] <= 1e-9
-    assert info["bisect_iters"] <= 10
 
 
 def test_solver_budget_exhaustion_carries_bracket():
@@ -391,16 +384,33 @@ def test_projection_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 # step/expr agreement and rollouts
 
-@pytest.mark.parametrize("mode,variant", [("convex", "convex_lnn"),
-                                          ("implicit", "lnn"),
-                                          ("projection", "icnn")])
-def test_recorded_step_matches_raw_step(mode, variant):
-    model, store = _fresh(mode, variant, seed=19, expand=8.0)
-    X = np.random.default_rng(20).uniform(-6, 6, size=(16, 2))
-    raw = model_step(model, store, X)
+def _step_cases():
+    # ids keep the plain "<mode>-<variant>" form for the default settings
+    cases = [pytest.param("convex", v, False, "fixed_point", id=f"convex-{v}")
+             for v in ("icnn", "convex_lnn")]
+    for v in ("lnn", "icnn", "convex_lnn"):
+        cases.append(pytest.param("implicit", v, False, "fixed_point", id=f"implicit-{v}"))
+        cases.append(pytest.param("implicit", v, False, "direct", id=f"implicit-{v}-direct"))
+        for mode in ("projection", "none"):
+            cases.append(pytest.param(mode, v, False, "fixed_point", id=f"{mode}-{v}"))
+            cases.append(pytest.param(mode, v, True, "fixed_point",
+                                      id=f"{mode}-{v}-integrating"))
+    return cases
+
+
+@pytest.mark.parametrize("mode,variant,integrating,route", _step_cases())
+def test_recorded_step_matches_raw_step(mode, variant, integrating, route):
+    model, store = _fresh(mode, variant, seed=19, expand=8.0,
+                          integrating=integrating, backward_route=route)
+    # 64 rows, so every mode but none has rows on both sides of its switch
+    X = np.random.default_rng(20).uniform(-6, 6, size=(64, 2))
+    raw, info = model_step(model, store, X, want_info=True)
+    if mode != "none":
+        assert 0 < info.intervened.sum() < X.shape[0]
     tape = Tape()
     rec = ad.value_of(step_expr(model, store, tape, X))
-    assert np.allclose(raw, rec, rtol=0, atol=1e-14)
+    assert np.array_equal(raw, rec)
+    assert np.array_equal(step_expr(model, store, None, X), raw)
 
 
 def test_rollout_shapes_and_v_trace():
@@ -423,5 +433,9 @@ def test_origin_fixed_point_certified():
     store.values[f"f.W{model.fhat.n_layers-1}"] *= 10.0
     y0 = model.fhat.forward(np.zeros(2), store)
     assert model.lyap.value(y0, store) > 0.0
-    out = model_step(model, store, np.zeros(2))
+    out, info = model_step(model, store, np.zeros(2), want_info=True)
     assert np.array_equal(out, np.zeros(2))
+    assert info.intervened[0] and info.gamma[0] == 0.0
+    # the implicit derivative is undefined there, so training refuses the row
+    with pytest.raises(ValueError, match="origin"):
+        step_expr(model, store, Tape(), np.zeros((1, 2)))

@@ -150,3 +150,18 @@ def test_architecture_check_passes_a_clean_round_trip(tmp_path):
     assert list(s2.values) == list(doc["params"])
     for k, v in doc["params"].items():
         assert np.array_equal(s2.values[k], np.asarray(v)), k
+
+
+def test_solver_budgets_from_older_files(tmp_path):
+    # earlier files recorded the solver budgets; the fixed ones still load
+    p, doc = _saved_doc(tmp_path)
+    assert "max_newton" not in doc and "max_bisect" not in doc
+    doc.update(max_newton=50, max_bisect=60)
+    p.write_text(json.dumps(doc))
+    m2, _ = load_model(p)
+    assert not hasattr(m2, "max_newton") and not hasattr(m2, "max_bisect")
+    for key, value in (("max_newton", 20), ("max_bisect", 100)):
+        other = dict(doc, **{key: value})
+        p.write_text(json.dumps(other))
+        with pytest.raises(ValueError, match=key):
+            load_model(p)

@@ -31,6 +31,12 @@ def test_construction_contracts():
         make_stochastic_model("convex", 2, "icnn", k=0)
     with pytest.raises(ValueError):
         make_stochastic_model("convex", 2, "icnn", sigma_cap=0.0)
+    with pytest.raises(ValueError):
+        make_stochastic_model("implicit", 2, "icnn", beta=1.5)
+    with pytest.raises(ValueError):
+        make_stochastic_model("implicit", 2, "icnn", rootfind_tol=-1.0)
+    with pytest.raises(ValueError):
+        make_stochastic_model("implicit", 2, "icnn", backward_route="typo")
 
 
 def test_trunk_and_coeff_shapes():
@@ -124,6 +130,27 @@ def test_variance_tether_holds_on_the_training_tape():
     sig = ad.value_of(out.sigma)
     v_mu = model.lyap.value(ad.value_of(out.mu_mix), store)
     assert np.all(sig ** 2 <= model.sigma_cap * v_mu[:, None, None] + 1e-12)
+
+
+@pytest.mark.parametrize("mode,variant,route", [("convex", "icnn", "fixed_point"),
+                                                ("implicit", "lnn", "fixed_point"),
+                                                ("implicit", "convex_lnn", "direct"),
+                                                ("none", "icnn", "fixed_point")])
+def test_recorded_forward_matches_raw_forward(mode, variant, route):
+    model, store = _fresh(mode, variant, seed=9, push=15.0)
+    model.backward_route = route
+    X = np.random.default_rng(6).uniform(-6, 6, size=(12, 2))
+    raw = mdn_forward(model, store, X)
+    rec = mdn_forward(model, store, X, Tape())
+    for name in ("pi", "mu", "sigma", "mu_mix"):
+        assert np.array_equal(getattr(raw, name), ad.value_of(getattr(rec, name))), name
+    assert raw.max_var == rec.max_var
+    if mode == "none":
+        assert rec.gamma is None and rec.intervened is None
+    else:
+        assert 0 < raw.intervened.sum() < X.shape[0]
+        assert np.array_equal(raw.gamma, rec.gamma)
+        assert np.array_equal(raw.intervened, rec.intervened)
 
 
 def test_baseline_skips_the_machinery():
