@@ -12,7 +12,7 @@ checks need the headroom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class ParamStore:
         self.values[name] = v
         self.grads[name] = np.zeros_like(v)
 
-    def names(self) -> list[str]:
-        return list(self.values)
-
     def shapes(self) -> dict[str, tuple]:
         return {k: v.shape for k, v in self.values.items()}
 
@@ -59,18 +56,13 @@ class ParamStore:
 class Var:
     """A tape-recorded value. Created only through Tape or the primitives."""
 
-    __slots__ = ("value", "grad", "tape", "_backward", "_param_ref")
+    __slots__ = ("value", "grad", "tape", "_backward")
 
     def __init__(self, value, tape: "Tape"):
         self.value = _arr(value)
         self.grad = None
         self.tape = tape
         self._backward = None
-        self._param_ref = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class Tape:
@@ -96,7 +88,6 @@ class Tape:
         leaf = self._param_leaves.get(key)
         if leaf is None:
             leaf = self._register(Var(store.values[name], self))
-            leaf._param_ref = name
             self._param_leaves[key] = leaf
             self._stores[id(store)] = store
         return leaf
@@ -155,7 +146,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(tape: Tape, value, parents_and_pulls) -> Var:
+    """Record value; operands that are not Vars get no gradient and are dropped."""
     out = Var(value, tape)
+    parents_and_pulls = [pp for pp in parents_and_pulls if isinstance(pp[0], Var)]
 
     def backward(g):
         for parent, pull in parents_and_pulls:
@@ -174,12 +167,7 @@ def add(a, b):
     val = av + bv
     if tape is None:
         return val
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: g))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: g))
-    return _node(tape, val, pulls)
+    return _node(tape, val, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a, b):
@@ -188,12 +176,7 @@ def sub(a, b):
     val = av - bv
     if tape is None:
         return val
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: g))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: -g))
-    return _node(tape, val, pulls)
+    return _node(tape, val, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def neg(a):
@@ -210,12 +193,7 @@ def mul(a, b):
     val = av * bv
     if tape is None:
         return val
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: g * bv))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: g * av))
-    return _node(tape, val, pulls)
+    return _node(tape, val, [(a, lambda g: g * bv), (b, lambda g: g * av)])
 
 
 def div(a, b):
@@ -224,12 +202,7 @@ def div(a, b):
     val = av / bv
     if tape is None:
         return val
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: g / bv))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: -g * av / (bv * bv)))
-    return _node(tape, val, pulls)
+    return _node(tape, val, [(a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv))])
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +217,8 @@ def linear(x, W, b=None):
         val = val + value_of(b)
     if tape is None:
         return val
-    pulls = []
-    if isinstance(x, Var):
-        pulls.append((x, lambda g: g @ Wv))
-    if isinstance(W, Var):
-        if xv.ndim == 1:
-            pulls.append((W, lambda g: np.outer(g, xv)))
-        else:
-            pulls.append((W, lambda g: g.T @ xv))
-    if b is not None and isinstance(b, Var):
-        pulls.append((b, lambda g: g))
-    return _node(tape, val, pulls)
+    pull_W = (lambda g: np.outer(g, xv)) if xv.ndim == 1 else (lambda g: g.T @ xv)
+    return _node(tape, val, [(x, lambda g: g @ Wv), (W, pull_W), (b, lambda g: g)])
 
 
 def linear_t(u, W):
@@ -264,15 +228,8 @@ def linear_t(u, W):
     val = uv @ Wv
     if tape is None:
         return val
-    pulls = []
-    if isinstance(u, Var):
-        pulls.append((u, lambda g: g @ Wv.T))
-    if isinstance(W, Var):
-        if uv.ndim == 1:
-            pulls.append((W, lambda g: np.outer(uv, g)))
-        else:
-            pulls.append((W, lambda g: uv.T @ g))
-    return _node(tape, val, pulls)
+    pull_W = (lambda g: np.outer(uv, g)) if uv.ndim == 1 else (lambda g: uv.T @ g)
+    return _node(tape, val, [(u, lambda g: g @ Wv.T), (W, pull_W)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +242,8 @@ def rowdot(a, b):
     val = (av * bv).sum(axis=-1)
     if tape is None:
         return val
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: np.expand_dims(g, -1) * bv))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: np.expand_dims(g, -1) * av))
-    return _node(tape, val, pulls)
+    return _node(tape, val, [(a, lambda g: np.expand_dims(g, -1) * bv),
+                             (b, lambda g: np.expand_dims(g, -1) * av)])
 
 
 def vsum(a):
@@ -533,7 +486,6 @@ def override_value(a, value):
 class GradCheckReport:
     max_rel_err: float
     worst_param: str = ""
-    per_param: dict = field(default_factory=dict)
 
 
 def grad_check(f, params: ParamStore, h: float = 1e-5) -> GradCheckReport:
@@ -555,7 +507,6 @@ def grad_check(f, params: ParamStore, h: float = 1e-5) -> GradCheckReport:
 
     worst = 0.0
     worst_name = ""
-    per_param = {}
     for name, v in params.values.items():
         flat = v.reshape(-1)
         err_here = 0.0
@@ -572,7 +523,6 @@ def grad_check(f, params: ParamStore, h: float = 1e-5) -> GradCheckReport:
             a = analytic[name].reshape(-1)[i]
             rel = abs(a - numeric) / max(1.0, abs(numeric))
             err_here = max(err_here, rel)
-        per_param[name] = err_here
         if err_here > worst:
             worst, worst_name = err_here, name
-    return GradCheckReport(max_rel_err=worst, worst_param=worst_name, per_param=per_param)
+    return GradCheckReport(max_rel_err=worst, worst_param=worst_name)

@@ -37,9 +37,15 @@ MODEL_CHOICES = ("convex", "implicit", "projection", "none",
 V_CHOICES = ("icnn", "lnn", "convex-lnn")
 
 
+def _split(value) -> list:
+    """A flag's comma-separated text, or a config file's list or single number."""
+    if isinstance(value, str):
+        return value.split(",")
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
 def _parse_vector(value) -> np.ndarray:
-    parts = value if isinstance(value, (list, tuple)) else value.split(",")
-    return np.array([float(v) for v in parts])
+    return np.array([float(v) for v in _split(value)])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -47,12 +53,11 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _parse_hidden(value) -> tuple:
-    parts = value if isinstance(value, (list, tuple)) else value.split(",")
-    return tuple(int(v) for v in parts)
+    return tuple(int(v) for v in _split(value))
 
 
 def _parse_grid(value) -> tuple:
-    parts = value if isinstance(value, (list, tuple)) else value.split(",")
+    parts = _split(value)
     if len(parts) != 3:
         raise ValueError("grid must be lo,hi,count")
     return float(parts[0]), float(parts[1]), int(parts[2])
@@ -183,8 +188,11 @@ def _apply_config(parser, commands, argv):
     for key, val in cfg.items():
         conv = actions[key].type
         # set_defaults skips argparse's own conversion, so mirror it here
-        if conv is not None and isinstance(val, (str, list)):
-            cfg[key] = conv(val)
+        if conv is not None and val is not None:
+            try:
+                cfg[key] = conv(val)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"config key {key!r}: {e}") from None
     sub.set_defaults(**cfg)
     return parser.parse_args(argv)
 
@@ -215,6 +223,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
+                         seed=args.seed, verbose=args.verbose)
     X, Y, _ = load_transitions(args.data)
     dim = X.shape[1]
     variant = args.v.replace("-", "_")
@@ -231,8 +241,6 @@ def _cmd_train(args) -> int:
                            integrating=args.integrating)
     store = ParamStore()
     model.init_params(store, np.random.default_rng(args.seed))
-    config = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
-                         seed=args.seed, verbose=args.verbose)
     if args.verbose:
         print(f"training on {X.shape[0]} transitions", file=sys.stderr)
     report = train(model, store, X, Y, config)

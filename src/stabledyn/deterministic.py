@@ -208,16 +208,17 @@ def as_batch(x):
     return x, False
 
 
-def certified_gamma_raw(lyap: LyapunovNet, store: ad.ParamStore, y, v_x, v_y,
-                        beta: float, mode: str, rootfind_tol: float = 1e-3):
+def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y):
     """Row-wise scaling factors, 1.0 where V(y) <= beta*V(x) already holds.
 
-    Rows whose prediction sits below the origin guard are left alone even if
-    they fail the decrease test; they are within rounding of the fixed point.
+    model is a StableModel or a StochasticModel; its lyap, mode, beta and
+    rootfind_tol define the certificate. Rows whose prediction sits below
+    the origin guard are left alone even if they fail the decrease test;
+    they are within rounding of the fixed point.
     Returns (gamma, intervened, residual, newton_iters, bisect_iters).
     """
     B = y.shape[0]
-    target = beta * v_x
+    target = model.beta * v_x
     mask = (v_y > target) & (v_y >= ORIGIN_GUARD)
     gamma = np.ones(B)
     residual = np.zeros(B)
@@ -229,49 +230,46 @@ def certified_gamma_raw(lyap: LyapunovNet, store: ad.ParamStore, y, v_x, v_y,
         # V(x) = 0 only at x = 0; the certified next state is the origin
         gamma[idx[~solvable]] = 0.0
         rows = idx[solvable]
-        if rows.size and mode == "convex":
-            gamma[rows] = convex_gamma(v_x[rows], v_y[rows], beta)
+        if rows.size and model.mode == "convex":
+            gamma[rows] = convex_gamma(v_x[rows], v_y[rows], model.beta)
         elif rows.size:
             gamma[rows], residual[rows], n_newton[rows], n_bisect[rows] = solve_gamma_batch(
-                lyap, store, y[rows], target[rows], rootfind_tol=rootfind_tol)
+                model.lyap, store, y[rows], target[rows], rootfind_tol=model.rootfind_tol)
     return gamma, mask, residual, n_newton, n_bisect
 
 
-def certified_gamma_expr(lyap: LyapunovNet, store: ad.ParamStore, tape: ad.Tape,
-                         y, v_x, beta: float, mode: str, rootfind_tol: float = 1e-3,
-                         backward_route: str = "fixed_point",
+def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
                          info: StepInfo | None = None):
     """Recorded (B,) scaling factors, or None when no row intervenes.
 
     certified_gamma_raw makes the decision on raw values: which rows
     intervene, the origin rows and the forward gamma. What is recorded is
     only a gradient surrogate on the intervening rows whose value is that
-    gamma; rows left alone carry an exact 1.0. A StepInfo passed as info
-    receives the decision.
+    gamma; rows left alone carry an exact 1.0. The model's backward_route
+    picks the implicit surrogate. A StepInfo passed as info receives the
+    decision.
     """
-    v_y = lyap.value(y, store, tape)
+    v_y = model.lyap.value(y, store, tape)
     gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-        lyap, store, ad.value_of(y), ad.value_of(v_x), ad.value_of(v_y), beta, mode,
-        rootfind_tol)
+        model, store, ad.value_of(y), ad.value_of(v_x), ad.value_of(v_y))
     if info is not None:
         info.intervened, info.gamma, info.residual = mask, gamma, residual
         info.newton_iters, info.bisect_iters = n_newton, n_bisect
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return None
-    if mode != "convex" and np.any(gamma[idx] == 0.0):
+    if model.mode != "convex" and np.any(gamma[idx] == 0.0):
         # V(x) = 0: the root sits at gamma = 0 where grad V vanishes, so the
         # implicit derivative divides by zero; the closed form has no such problem
         raise ValueError("intervention at the origin; gamma gradient undefined there")
 
-    y_i = ad.gather_rows(y, idx)
     vx_i = ad.gather_rows(v_x, idx)
-    if mode == "convex":
-        gam_i = convex_gamma(vx_i, ad.gather_rows(v_y, idx), beta)
-    elif backward_route == "fixed_point":
-        gam_i = _fixed_point_gamma(lyap, store, tape, y_i, vx_i, beta, gamma[idx])
+    if model.mode == "convex":
+        gam_i = convex_gamma(vx_i, ad.gather_rows(v_y, idx), model.beta)
     else:
-        gam_i = _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma[idx])
+        surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
+                     else _direct_gamma_node)
+        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
     return ad.scatter_rows(gam_i, idx, mask.size, fill=1.0)
 
 
@@ -290,15 +288,12 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
     v_x = model.lyap.value(X, store, tape)
     if tape is None:
         gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-            model.lyap, store, y, v_x, model.lyap.value(y, store), model.beta,
-            model.mode, model.rootfind_tol)
+            model, store, y, v_x, model.lyap.value(y, store))
         info = StepInfo(mask, gamma, n_newton, n_bisect, residual)
         gamma = gamma if mask.any() else None
     else:
         info = StepInfo(intervened=None)
-        gamma = certified_gamma_expr(model.lyap, store, tape, y, v_x, model.beta,
-                                     model.mode, model.rootfind_tol,
-                                     model.backward_route, info=info)
+        gamma = certified_gamma_expr(model, store, tape, y, v_x, info=info)
     return (y if gamma is None else ad.scale_rows(y, gamma)), info
 
 
@@ -374,7 +369,7 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
 # ---------------------------------------------------------------------------
 # gradient surrogates for the solved gamma
 
-def _fixed_point_gamma(lyap, store, tape, y_i, vx_i, beta, gamma):
+def _fixed_point_gamma(model, store, tape, y_i, vx_i, gamma):
     """One more Newton map F(g) = g - (V(g y) - beta Vx)/(grad V(g y)^T y).
 
     The incoming gamma is held constant; at the root dF/dgamma = 0, so
@@ -382,13 +377,13 @@ def _fixed_point_gamma(lyap, store, tape, y_i, vx_i, beta, gamma):
     forward value stays the solved gamma.
     """
     p = ad.scale_rows(y_i, gamma)
-    v_p, gv_p = lyap.value_and_grad(p, store, tape)
-    g = ad.sub(v_p, ad.mul(vx_i, beta))
+    v_p, gv_p = model.lyap.value_and_grad(p, store, tape)
+    g = ad.sub(v_p, ad.mul(vx_i, model.beta))
     gp = ad.rowdot(gv_p, y_i)
     return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)
 
 
-def _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma):
+def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
     """Custom node applying the closed-form implicit derivative.
 
     With p = gamma*y and the root equation V(p) - beta*V(x) = 0:
@@ -400,7 +395,7 @@ def _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma):
     """
     Y = ad.value_of(y_i)
     P = gamma[:, None] * Y
-    gv_p = lyap.grad(P, store)
+    gv_p = model.lyap.grad(P, store)
     denom = (gv_p * Y).sum(axis=-1)
 
     out = ad.Var(gamma, tape)
@@ -408,9 +403,9 @@ def _direct_gamma_node(lyap, store, tape, y_i, vx_i, beta, gamma):
     def backward(gbar):
         w = gbar / denom            # (rows,)
         ad._accum(y_i, (-gamma * w)[:, None] * gv_p)
-        ad._accum(vx_i, beta * w)
+        ad._accum(vx_i, model.beta * w)
         side = ad.Tape()
-        v_p = lyap.value(P, store, side)
+        v_p = model.lyap.value(P, store, side)
         root = ad.vsum(ad.mul(v_p, -w))
         side.backward(root)
 

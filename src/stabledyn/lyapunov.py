@@ -40,6 +40,9 @@ from .nets import Mlp, activation_deriv
 
 VARIANTS = ("lnn", "icnn", "convex_lnn")
 
+# V's parameters are stored as "V.<name>"; saved model files use these names
+PREFIX = "V"
+
 
 @dataclass
 class LyapunovNet:
@@ -48,7 +51,6 @@ class LyapunovNet:
     hidden: tuple
     epsilon: float = 0.001
     d: float = 0.1
-    prefix: str = "V"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -62,32 +64,25 @@ class LyapunovNet:
                 layer_dims=[self.dim, *self.hidden, self.dim],
                 activation="smooth_relu",
                 output_activation=out_act,
-                prefix=self.prefix,
+                prefix=PREFIX,
                 use_bias=False,
                 d=self.d,
             )
             if self.variant == "convex_lnn":
-                self._clamped = [f"{self.prefix}.W{i}" for i in range(1, self._mlp.n_layers)]
+                self._clamped = [f"{PREFIX}.W{i}" for i in range(1, self._mlp.n_layers)]
             else:
                 self._clamped = []
         else:
             self._width = self.hidden[0]
-            self._clamped = [f"{self.prefix}.U1", f"{self.prefix}.u2"]
+            self._clamped = [f"{PREFIX}.U1", f"{PREFIX}.u2"]
 
     # -- parameters --------------------------------------------------------
-
-    def param_names(self) -> list[str]:
-        if self.variant in ("lnn", "convex_lnn"):
-            return self._mlp.param_names()
-        p, h, n = self.prefix, self._width, self.dim
-        return [f"{p}.W0", f"{p}.b0", f"{p}.U1", f"{p}.W1", f"{p}.b1",
-                f"{p}.u2", f"{p}.w2", f"{p}.b2"]
 
     def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
         if self.variant in ("lnn", "convex_lnn"):
             self._mlp.init_params(store, rng)
         else:
-            p, h, n = self.prefix, self._width, self.dim
+            p, h, n = PREFIX, self._width, self.dim
             bn, bh = 1.0 / np.sqrt(n), 1.0 / np.sqrt(h)
             store.add(f"{p}.W0", rng.uniform(-bn, bn, size=(h, n)))
             store.add(f"{p}.b0", rng.uniform(-bn, bn, size=h))
@@ -154,10 +149,8 @@ class LyapunovNet:
         return g, seed_fn
 
     def _icnn_body(self, x, store, tape):
-        p = self.prefix
-
         def P(name):
-            full = f"{p}.{name}"
+            full = f"{PREFIX}.{name}"
             return store.values[full] if tape is None else tape.param(store, full)
 
         W0, b0 = P("W0"), P("b0")
@@ -189,8 +182,8 @@ class LyapunovNet:
 
 
 def make_lyapunov(variant: str, dim: int, hidden=(25, 25), epsilon: float = 0.001,
-                  d: float = 0.1, prefix: str = "V") -> LyapunovNet:
+                  d: float = 0.1) -> LyapunovNet:
     if isinstance(hidden, int):
         hidden = (hidden, hidden)
     return LyapunovNet(variant=variant, dim=dim, hidden=tuple(hidden),
-                       epsilon=epsilon, d=d, prefix=prefix)
+                       epsilon=epsilon, d=d)

@@ -67,14 +67,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-    def param_names(self) -> list[str]:
-        names = []
-        for i in range(self.n_layers):
-            names.append(f"{self.prefix}.W{i}")
-            if self.use_bias:
-                names.append(f"{self.prefix}.b{i}")
-        return names
-
     def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
         for i in range(self.n_layers):
             fan_in = self.layer_dims[i]

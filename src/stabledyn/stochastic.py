@@ -122,14 +122,11 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     v_x = model.lyap.value(X, store, tape)
     if tape is None:
         gamma, mask, _, _, _ = certified_gamma_raw(
-            model.lyap, store, mu_mix, v_x, model.lyap.value(mu_mix, store),
-            model.beta, model.mode, model.rootfind_tol)
+            model, store, mu_mix, v_x, model.lyap.value(mu_mix, store))
         gv = gamma if mask.any() else None
     else:
         info = StepInfo(intervened=None)
-        gv = certified_gamma_expr(
-            model.lyap, store, tape, mu_mix, v_x, model.beta, model.mode,
-            model.rootfind_tol, model.backward_route, info=info)
+        gv = certified_gamma_expr(model, store, tape, mu_mix, v_x, info=info)
         gamma, mask = info.gamma, info.intervened
 
     if gv is not None:

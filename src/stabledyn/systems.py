@@ -95,17 +95,15 @@ def lorenz_rhs(x: np.ndarray, sigma: float = 10.0, rho: float = 28.0,
 
 @dataclass
 class SystemSpec:
-    name: str
     dim: int
-    kind: str          # "map" | "ode" | "sde"
     h: float           # step size where a scheme applies, else 0
 
 
 SYSTEMS = {
-    "linear": SystemSpec("linear", 2, "map", 0.0),
-    "saturated": SystemSpec("saturated", 2, "ode", 0.1),
-    "sde": SystemSpec("sde", 2, "sde", 0.05),
-    "lorenz": SystemSpec("lorenz", 3, "ode", 0.01),
+    "linear": SystemSpec(2, 0.0),
+    "saturated": SystemSpec(2, 0.1),
+    "sde": SystemSpec(2, 0.05),
+    "lorenz": SystemSpec(3, 0.01),
 }
 
 

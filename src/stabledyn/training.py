@@ -27,18 +27,30 @@ from .deterministic import StableModel, model_step, step_expr
 from .stochastic import StochasticModel, mdn_forward, mdn_nll
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# with verbose on, the loss is printed every LOG_EVERY epochs and at the last
+LOG_EVERY = 20
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 200
     lr: float = 0.0025
     batch_size: int | None = None      # None = full batch
-    seed: int = 0
-    shuffle: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    seed: int = 0                      # the minibatch order
     verbose: bool = False
-    log_every: int = 20
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be None (full batch) or at least 1")
 
 
 @dataclass
@@ -57,27 +69,26 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(store: ad.ParamStore, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(store: ad.ParamStore, state: AdamState, lr: float) -> None:
     state.t += 1
-    b1t = 1.0 - beta1 ** state.t
-    b2t = 1.0 - beta2 ** state.t
+    b1t = 1.0 - BETA1 ** state.t
+    b2t = 1.0 - BETA2 ** state.t
     for name, g in store.grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        store.values[name] -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        store.values[name] -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
     store.check_finite()
 
 
-def _batches(n: int, batch_size: int | None, rng, shuffle: bool):
+def _batches(n: int, batch_size: int | None, rng):
     if batch_size is None or batch_size >= n:
         yield slice(None)
         return
-    order = rng.permutation(n) if shuffle else np.arange(n)
+    order = rng.permutation(n)
     for i in range(0, n, batch_size):
         yield order[i:i + batch_size]
 
@@ -107,7 +118,7 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
     violations = 0
     for epoch in range(config.epochs):
         batch_losses = []
-        for sel in _batches(X.shape[0], config.batch_size, rng, config.shuffle):
+        for sel in _batches(X.shape[0], config.batch_size, rng):
             xb, yb = X[sel], Y[sel]
             tape = ad.Tape()
             if is_mdn:
@@ -127,13 +138,12 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
             # so it must run before the parameters move
             violations += _count_violations(model, store, xb, pred, is_mdn)
             tape.backward(loss)
-            adam_step(store, state, config.lr, config.beta1, config.beta2,
-                      config.adam_eps)
+            adam_step(store, state, config.lr)
             model.lyap.clamp(store)
             store.zero_grads()
             batch_losses.append(lv)
         losses.append(float(np.mean(batch_losses)))
-        if config.verbose and (epoch % config.log_every == 0 or epoch == config.epochs - 1):
+        if config.verbose and (epoch % LOG_EVERY == 0 or epoch == config.epochs - 1):
             print(f"epoch {epoch:4d}  loss {losses[-1]:.6g}", flush=True)
 
     return TrainReport(epochs=config.epochs, final_loss=losses[-1], losses=losses,

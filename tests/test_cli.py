@@ -89,6 +89,15 @@ def test_train_rejects_nonconvex_v_for_convex_mode(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--batch-size", "-5"], ["--epochs", "0"],
+                                   ["--lr", "0"]])
+def test_train_refuses_settings_that_cannot_train(tmp_path, capsys, flags):
+    data, _ = _gen(tmp_path, capsys)
+    code, doc, out = _train(tmp_path, capsys, data, extra=flags)
+    assert code == 2 and doc is None and not out.exists()
+    assert not (tmp_path / "m.report.json").exists()
+
+
 def test_train_accepts_hyphenated_variant(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     code, doc, out = _train(tmp_path, capsys, data, model="implicit",
@@ -206,5 +215,18 @@ def test_config_defaults_and_flag_precedence(tmp_path, capsys):
 
     cfg.write_text(json.dumps({"bogus": 1}))
     code, _ = _run(["gen", "--system", "saturated", "--out", str(out),
+                    "--config", str(cfg)], capsys)
+    assert code == 2
+
+    # a JSON number for a list flag means what the same text on the command
+    # line means, and a value its flag cannot read is a usage error
+    cfg.write_text(json.dumps({"hidden_f": 5, "hidden_v": [4, 3]}))
+    model = tmp_path / "m.json"
+    code, _ = _run(["train", "--model", "convex", "--data", str(out), "--out", str(model),
+                    "--epochs", "1", "--config", str(cfg)], capsys)
+    saved = json.loads(model.read_text())
+    assert code == 0 and saved["hidden_f"] == [5] and saved["hidden_v"] == [4, 3]
+    cfg.write_text(json.dumps({"epochs": [1, 2]}))
+    code, _ = _run(["train", "--model", "convex", "--data", str(out), "--out", str(model),
                     "--config", str(cfg)], capsys)
     assert code == 2

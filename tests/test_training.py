@@ -33,6 +33,15 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(store, AdamState(store), lr=0.1)
 
 
+@pytest.mark.parametrize("bad", [dict(epochs=0), dict(lr=0.0), dict(lr=float("nan")),
+                                 dict(batch_size=0), dict(batch_size=-5)])
+def test_train_config_refuses_settings_that_cannot_train(bad):
+    # epochs=0 would leave no loss to report, batch_size<1 would run no batch
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+    TrainConfig(epochs=1, batch_size=1)
+
+
 def _linear_data(n=120, seed=0):
     rng = np.random.default_rng(seed)
     A = np.array([[0.9, 1.0], [0.0, 0.9]])
