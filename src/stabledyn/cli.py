@@ -6,8 +6,8 @@ the linear benchmark, and spot-check gradients. Results go to stdout as
 JSON; progress and diagnostics go to stderr. Exit code 0 means success, 2 a
 usage or validation problem, 1 a numeric failure at runtime.
 
-A JSON file passed as --config supplies defaults for the chosen subcommand;
-explicit flags always win.
+A JSON file passed as --config supplies flags for the chosen subcommand,
+read exactly as typed flags are; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -37,30 +37,21 @@ MODEL_CHOICES = ("convex", "implicit", "projection", "none",
 V_CHOICES = ("icnn", "lnn", "convex-lnn")
 
 
-def _split(value) -> list:
-    """A flag's comma-separated text, or a config file's list or single number."""
-    if isinstance(value, str):
-        return value.split(",")
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def _parse_vector(value) -> np.ndarray:
-    return np.array([float(v) for v in _split(value)])
+def _parse_vector(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
 
 
-def _parse_hidden(value) -> tuple:
-    return tuple(int(v) for v in _split(value))
+def _parse_hidden(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
 
 
-def _parse_grid(value) -> tuple:
-    parts = _split(value)
-    if len(parts) != 3:
-        raise ValueError("grid must be lo,hi,count")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+def _parse_grid(text: str) -> tuple:
+    lo, hi, count = text.split(",")
+    return float(lo), float(hi), int(count)
 
 
 def _emit(obj) -> None:
@@ -158,43 +149,45 @@ NUMERIC_LIST_FLAGS = ("--grid", "--x0", "--a", "--b", "--q")
 
 def _preprocess(argv):
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok in NUMERIC_LIST_FLAGS and len(nxt) > 1 and nxt[0] == "-"
-                and (nxt[1].isdigit() or nxt[1] == ".")):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if (out and out[-1] in NUMERIC_LIST_FLAGS and len(tok) > 1 and tok[0] == "-"
+                and (tok[1].isdigit() or tok[1] == ".")):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def _apply_config(parser, commands, argv):
+    """Parse argv once, with a --config file's values spliced in as flags.
+
+    They go right after the subcommand, so the command line's own flags win.
+    true gives a bare switch, false and null leave the flag out, a list is
+    joined with commas and any other value is its str().
+    """
     argv = _preprocess(argv)
-    args = parser.parse_args(argv)
-    cfg_path = getattr(args, "config", None)
-    if not cfg_path:
-        return args
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
+    if not cfg_path or argv[0] not in commands:
+        return parser.parse_args(argv)
     with open(cfg_path) as fh:
         cfg = json.load(fh)
-    sub = commands[args.command]
-    actions = {a.dest: a for a in sub._actions}
-    unknown = sorted(set(cfg) - set(actions))
+    if not isinstance(cfg, dict):
+        raise ValueError("a config file holds one JSON object")
+    # keys must name a dest exactly: argparse would take "epoch" for --epochs
+    flags = {a.dest: a.option_strings[-1] for a in commands[argv[0]]._actions}
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
-        raise ValueError(f"config keys not recognized by {args.command!r}: {unknown}")
+        raise ValueError(f"config keys not recognized by {argv[0]!r}: {unknown}")
+    tokens = []
     for key, val in cfg.items():
-        conv = actions[key].type
-        # set_defaults skips argparse's own conversion, so mirror it here
-        if conv is not None and val is not None:
-            try:
-                cfg[key] = conv(val)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"config key {key!r}: {e}") from None
-    sub.set_defaults(**cfg)
-    return parser.parse_args(argv)
+        if val is True:
+            tokens.append(flags[key])
+        elif val is not False and val is not None:
+            text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            tokens.append(f"{flags[key]}={text}")
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +196,7 @@ def _apply_config(parser, commands, argv):
 def _cmd_gen(args) -> int:
     system = args.system
     name = "linear" if system == "linear-stoch" else system
-    b = args.b
-    if b is None:
-        b = 0.1 if system == "linear-stoch" else 0.0
+    b = args.b if args.b is not None else (0.1 if system == "linear-stoch" else 0.0)
     steps = args.steps if args.steps is not None else DEFAULT_STEPS.get(name, 40)
     if args.x0 is not None and args.grid is not None:
         raise ValueError("give either --grid or --x0, not both")
@@ -294,9 +285,17 @@ def _cmd_rollout(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _load_scored(args):
+    """The saved model and the transitions to score it on, of one dimension."""
     model, store = load_model(args.model_file)
     X, Y, _ = load_transitions(args.data)
+    if X.shape[1] != model.dim:
+        raise ValueError(f"data has {X.shape[1]} columns, model expects {model.dim}")
+    return model, store, X, Y
+
+
+def _cmd_eval(args) -> int:
+    model, store, X, Y = _load_scored(args)
     is_mdn = isinstance(model, StochasticModel)
     metric = args.metric
     if metric == "auto":
@@ -334,10 +333,9 @@ def _cmd_lyap_solve(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    model, store = load_model(args.model_file)
-    X, Y, _ = load_transitions(args.data)
-    if X.shape[1] != model.dim:
-        raise ValueError(f"data has {X.shape[1]} columns, model expects {model.dim}")
+    if args.batch < 1:
+        raise ValueError(f"--batch must be at least 1, got {args.batch}")
+    model, store, X, Y = _load_scored(args)
     rng = np.random.default_rng(args.seed)
     if X.shape[0] > args.batch:
         sel = rng.choice(X.shape[0], size=args.batch, replace=False)

@@ -346,6 +346,8 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     Returns trajectory of shape (steps+1, n) or (B, steps+1, n); with
     record_v also the V values along it, shape (steps+1,) or (B, steps+1).
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     X, single = as_batch(x0)
     B, n = X.shape
     traj = np.empty((B, steps + 1, n))

@@ -5,7 +5,8 @@ Three constructions, all satisfying V(0) = 0 and V(x) >= eps*||x||^2:
 * "lnn"         warped sum of squares phi(x)^T phi(x) with a bias-free net,
                 smooth_relu hidden layers, linear output. Positive definite
                 but not necessarily convex.
-* "icnn"        input-convex network: two smooth_relu z-layers with direct
+* "icnn"        input-convex network: two smooth_relu z-layers, of widths
+                hidden[0] and hidden[-1] (one or two widths), with direct
                 input skips; the z-path weights are kept elementwise
                 nonnegative, so g is convex in x.
 * "convex_lnn"  bias-free stack with smooth_relu at every layer and all
@@ -73,7 +74,9 @@ class LyapunovNet:
             else:
                 self._clamped = []
         else:
-            self._width = self.hidden[0]
+            if not 1 <= len(self.hidden) <= 2:
+                raise ValueError(f"icnn takes one or two hidden widths, got {self.hidden}")
+            self._widths = (self.hidden[0], self.hidden[-1])
             self._clamped = [f"{PREFIX}.U1", f"{PREFIX}.u2"]
 
     # -- parameters --------------------------------------------------------
@@ -82,16 +85,17 @@ class LyapunovNet:
         if self.variant in ("lnn", "convex_lnn"):
             self._mlp.init_params(store, rng)
         else:
-            p, h, n = PREFIX, self._width, self.dim
-            bn, bh = 1.0 / np.sqrt(n), 1.0 / np.sqrt(h)
-            store.add(f"{p}.W0", rng.uniform(-bn, bn, size=(h, n)))
-            store.add(f"{p}.b0", rng.uniform(-bn, bn, size=h))
-            store.add(f"{p}.U1", rng.uniform(0.0, bh, size=(h, h)))
-            store.add(f"{p}.W1", rng.uniform(-bn, bn, size=(h, n)))
-            store.add(f"{p}.b1", rng.uniform(-bh, bh, size=h))
-            store.add(f"{p}.u2", rng.uniform(0.0, bh, size=(1, h)))
+            p, n = PREFIX, self.dim
+            h1, h2 = self._widths
+            bn, b1, b2 = 1.0 / np.sqrt(n), 1.0 / np.sqrt(h1), 1.0 / np.sqrt(h2)
+            store.add(f"{p}.W0", rng.uniform(-bn, bn, size=(h1, n)))
+            store.add(f"{p}.b0", rng.uniform(-bn, bn, size=h1))
+            store.add(f"{p}.U1", rng.uniform(0.0, b1, size=(h2, h1)))
+            store.add(f"{p}.W1", rng.uniform(-bn, bn, size=(h2, n)))
+            store.add(f"{p}.b1", rng.uniform(-b1, b1, size=h2))
+            store.add(f"{p}.u2", rng.uniform(0.0, b2, size=(1, h2)))
             store.add(f"{p}.w2", rng.uniform(-bn, bn, size=(1, n)))
-            store.add(f"{p}.b2", rng.uniform(-bh, bh, size=1))
+            store.add(f"{p}.b2", rng.uniform(-b2, b2, size=1))
         # nonnegativity holds from the start, not just after the first clamp
         for name in self._clamped:
             np.abs(store.values[name], out=store.values[name])
@@ -183,7 +187,4 @@ class LyapunovNet:
 
 def make_lyapunov(variant: str, dim: int, hidden=(25, 25), epsilon: float = 0.001,
                   d: float = 0.1) -> LyapunovNet:
-    if isinstance(hidden, int):
-        hidden = (hidden, hidden)
-    return LyapunovNet(variant=variant, dim=dim, hidden=tuple(hidden),
-                       epsilon=epsilon, d=d)
+    return LyapunovNet(variant=variant, dim=dim, hidden=hidden, epsilon=epsilon, d=d)

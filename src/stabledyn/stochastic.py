@@ -187,6 +187,10 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     drawn from the mixture at each step; means has shape (steps+1, n) and
     feeds the mixture mean back as the state with no sampling.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
+    if paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise ValueError("x0 must be a single state")

@@ -126,6 +126,8 @@ def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None
 
 def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
              h: float | None = None, b: float = 0.0) -> np.ndarray:
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     rng = None if seed is None else np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
     traj = np.empty((steps + 1, x.size))
@@ -180,6 +182,8 @@ def generate_transitions(system: str, seed: int = 0, steps: int = 40,
     seed+i. An explicit x0 replaces the grid with a single trajectory from
     that state; the chaotic system defaults to one from (1, 1, 1).
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     spec = SYSTEMS[system]
     meta = {"system": system, "h": spec.h if h is None else h, "seed": seed,
             "grid": None, "steps": steps}
@@ -226,6 +230,8 @@ def load_transitions(path):
         r = csv.reader(fh)
         header = next(r)
         rows = np.array([[float(v) for v in row] for row in r])
+    if rows.size == 0:
+        raise ValueError(f"{path} holds no transition rows")
     n = sum(1 for c in header if c.startswith("x"))
     meta = {}
     side = path.with_suffix(".json")

@@ -230,3 +230,86 @@ def test_config_defaults_and_flag_precedence(tmp_path, capsys):
     code, _ = _run(["train", "--model", "convex", "--data", str(out), "--out", str(model),
                     "--config", str(cfg)], capsys)
     assert code == 2
+
+
+# -- a --config file's values are parsed exactly as typed flags ------------
+
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    _, _, model = _train(tmp_path, capsys, data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "bogus"}))
+    code, doc = _run(["eval", "--model-file", str(model), "--data", str(data),
+                      "--config", str(cfg)], capsys)
+    assert code == 2 and doc is None
+
+
+def test_config_fractional_count_is_a_usage_error(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2.7}))
+    out = tmp_path / "m.json"
+    code, doc = _run(["train", "--model", "convex", "--data", str(data),
+                      "--out", str(out), "--config", str(cfg)], capsys)
+    assert code == 2 and doc is None and not out.exists()
+
+
+def test_config_number_for_a_text_flag_reads_as_its_text(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 0.1}))
+    code, doc = _run(["lyap-solve", "--a", "0.9", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert doc["p"][0][0] == pytest.approx(1.0 / 0.18, rel=1e-12)
+    code, typed = _run(["lyap-solve", "--a", "0.9", "--b", "0.1"], capsys)
+    assert code == 0 and doc["p"] == typed["p"]
+
+
+def test_config_supplies_required_flags_and_switches(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": "0.9,1;0,0.9", "b": 0.1}))
+    code, doc = _run(["lyap-solve", "--config", str(cfg)], capsys)
+    assert code == 0 and doc["min_eig"] > 0.0
+
+    data, _ = _gen(tmp_path, capsys)
+    model = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"model": "projection", "data": str(data),
+                               "out": str(model), "epochs": 1, "integrating": True,
+                               "verbose": False, "batch_size": None}))
+    code, doc = _run(["train", "--config", str(cfg)], capsys)
+    assert code == 0 and doc["epochs"] == 1
+    assert json.loads(model.read_text())["integrating"] is True
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("gen --system saturated --out {out} --steps -1", "steps"),
+    ("gen --system saturated --out {out} --steps 0", "steps"),
+    ("train --model convex --data {empty} --out {out}", "empty.csv"),
+    ("rollout --model-file {model} --x0 1,1 --steps -2 --out {out}", "steps"),
+    ("rollout --model-file {mdn} --x0 1,1 --samples -1 --out {out}", "paths"),
+    ("gradcheck --model-file {model} --data {data} --batch 0", "--batch"),
+], ids=["gen-steps-negative", "gen-steps-zero", "train-no-rows",
+        "rollout-steps", "rollout-samples", "gradcheck-batch"])
+def test_counts_out_of_range_are_refused_by_name(tmp_path, capsys, argv, name):
+    data, _ = _gen(tmp_path, capsys)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1,x2,y1,y2\n")
+    paths = {"out": tmp_path / "out.csv", "data": data, "empty": empty}
+    if "{model}" in argv:
+        paths["model"] = _train(tmp_path, capsys, data)[2]
+    if "{mdn}" in argv:
+        paths["mdn"] = _train(tmp_path, capsys, data, model="mdn-convex",
+                              name="mdn.json")[2]
+    code = main(argv.format(**paths).split())
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert name in captured.err and "Traceback" not in captured.err
+    assert not paths["out"].exists()
+
+
+def test_eval_refuses_data_of_another_dimension(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    _, _, model = _train(tmp_path, capsys, data)
+    lorenz, _ = _gen(tmp_path, capsys, system="lorenz", name="lz.csv")
+    code = main(["eval", "--model-file", str(model), "--data", str(lorenz)])
+    err = capsys.readouterr().err
+    assert code == 2 and "3 columns, model expects 2" in err

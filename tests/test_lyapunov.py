@@ -22,10 +22,11 @@ def test_rejects_unknown_variant():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_zero_at_origin(variant):
-    for seed in range(10):
-        net, store = _fresh(variant, seed=seed)
-        v0 = net.value(np.zeros(2), store)
-        assert v0 == pytest.approx(0.0, abs=1e-14), (variant, seed, v0)
+    for hidden in ((6, 6), (7, 5)):
+        for seed in range(10):
+            net, store = _fresh(variant, hidden=hidden, seed=seed)
+            v0 = net.value(np.zeros(2), store)
+            assert v0 == pytest.approx(0.0, abs=1e-14), (variant, hidden, seed, v0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -95,6 +96,16 @@ def test_scaling_contraction_for_convex(variant):
     Y = rng.uniform(-6.0, 6.0, size=(60, 2))
     gam = rng.uniform(0.0, 1.0, size=(60, 1))
     assert np.all(net.value(gam * Y, store) <= gam[:, 0] * net.value(Y, store) + 1e-10)
+
+
+def test_icnn_z_layers_take_the_first_and_last_width():
+    shapes = _fresh("icnn", hidden=(4, 3))[1].shapes()
+    assert shapes == {"V.W0": (4, 2), "V.b0": (4,), "V.U1": (3, 4), "V.W1": (3, 2),
+                      "V.b1": (3,), "V.u2": (1, 3), "V.w2": (1, 2), "V.b2": (1,)}
+    assert _fresh("icnn", hidden=(5,))[1].shapes()["V.U1"] == (5, 5)
+    for hidden in ((4, 3, 9), ()):
+        with pytest.raises(ValueError, match="one or two hidden widths"):
+            make_lyapunov("icnn", 2, hidden=hidden)
 
 
 def test_clamp_projects_constrained_weights():

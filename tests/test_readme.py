@@ -1,15 +1,33 @@
-"""The README's code must at least import what it names."""
+"""The README's code must at least import what it names, and its CLI
+examples must parse with the current flags."""
 
 import re
+import shlex
 from pathlib import Path
+
+from stabledyn.cli import _preprocess, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_example_imports_resolve():
+def _block(heading, lang=""):
     text = README.read_text()
-    section = text[text.index("## Library"):]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_example_imports_resolve():
+    block = _block("## Library", "python")
     imports = [ln for ln in block.splitlines() if ln.startswith(("import ", "from "))]
     assert imports
     exec("\n".join(imports), {})
+
+
+def test_cli_examples_parse():
+    block = _block("## CLI").replace("\\\n", " ")
+    commands = [ln for ln in block.splitlines() if ln.startswith("stabledyn ")]
+    assert len(commands) == 6
+    parser, _ = build_parser()
+    for line in commands:
+        args = parser.parse_args(_preprocess(shlex.split(line)[1:]))
+        assert args.command == line.split()[1]
