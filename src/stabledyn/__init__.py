@@ -5,7 +5,7 @@ from .deterministic import (RootFindError, StableModel, StepInfo,
                             certified_gamma_expr, certified_gamma_raw,
                             make_model, model_step, rollout, solve_gamma_batch,
                             step_expr)
-from .lyapunov import LyapunovNet, make_lyapunov
+from .lyapunov import LyapunovNet
 from .model_io import load_model, save_model
 from .nets import Mlp
 from .stochastic import (MdnOutput, StochasticModel, make_stochastic_model,
@@ -22,7 +22,7 @@ __all__ = [
     "RootFindError", "StableModel", "StepInfo", "certified_gamma_expr",
     "certified_gamma_raw", "make_model", "model_step", "rollout",
     "solve_gamma_batch", "step_expr",
-    "LyapunovNet", "make_lyapunov", "Mlp",
+    "LyapunovNet", "Mlp",
     "load_model", "save_model",
     "MdnOutput", "StochasticModel", "make_stochastic_model", "mdn_forward",
     "mdn_mean_step", "mdn_nll", "mdn_sample", "stochastic_rollout",

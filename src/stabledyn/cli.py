@@ -22,10 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, grad_check
-from .deterministic import RootFindError, make_model, rollout, step_expr
+from .deterministic import RootFindError, StableModel, rollout, step_expr
 from .model_io import load_model, save_model
-from .stochastic import (StochasticModel, make_stochastic_model, mdn_forward,
-                         mdn_nll, stochastic_rollout)
+from .stochastic import StochasticModel, mdn_forward, mdn_nll, stochastic_rollout
 from .systems import generate_transitions, load_transitions, save_transitions, solve_discrete_lyapunov
 from .training import (TrainConfig, evaluate_mse, evaluate_nll,
                        evaluate_violations, train)
@@ -200,6 +199,13 @@ def _cmd_gen(args) -> int:
     steps = args.steps if args.steps is not None else DEFAULT_STEPS.get(name, 40)
     if args.x0 is not None and args.grid is not None:
         raise ValueError("give either --grid or --x0, not both")
+    # lorenz runs one trajectory, only the linear map has a noise gain, and
+    # it alone has no step size
+    for flag, value, unread in (("--grid", args.grid, name == "lorenz"),
+                                ("--b", args.b, name != "linear"),
+                                ("--h", args.h, name == "linear")):
+        if value is not None and unread:
+            raise ValueError(f"{flag} is not read by the {system} system")
     common = dict(seed=args.seed, steps=steps, h=args.h, b=b)
     if args.x0 is not None:
         X, Y, meta = generate_transitions(name, x0=args.x0, **common)
@@ -217,19 +223,15 @@ def _cmd_train(args) -> int:
     config = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
                          seed=args.seed, verbose=args.verbose)
     X, Y, _ = load_transitions(args.data)
-    dim = X.shape[1]
-    variant = args.v.replace("-", "_")
+    settings = dict(dim=X.shape[1], variant=args.v.replace("-", "_"),
+                    hidden_f=args.hidden_f, hidden_v=args.hidden_v,
+                    activation=args.activation, beta=args.beta,
+                    rootfind_tol=args.rootfind_tol)
     if args.model.startswith("mdn-"):
-        model = make_stochastic_model(args.model[4:], dim, variant, k=args.k,
-                                      hidden_f=args.hidden_f, hidden_v=args.hidden_v,
-                                      sigma_cap=args.sigma_cap, beta=args.beta,
-                                      rootfind_tol=args.rootfind_tol,
-                                      activation=args.activation)
+        model = StochasticModel(args.model[4:], k=args.k, sigma_cap=args.sigma_cap,
+                                **settings)
     else:
-        model = make_model(args.model, dim, variant, hidden_f=args.hidden_f,
-                           hidden_v=args.hidden_v, activation=args.activation,
-                           beta=args.beta, rootfind_tol=args.rootfind_tol,
-                           integrating=args.integrating)
+        model = StableModel(args.model, integrating=args.integrating, **settings)
     store = ParamStore()
     model.init_params(store, np.random.default_rng(args.seed))
     if args.verbose:
@@ -321,7 +323,7 @@ def _cmd_lyap_solve(args) -> int:
     Q = np.eye(A.shape[0]) if args.q is None else _parse_matrix(args.q)
     try:
         P = solve_discrete_lyapunov(A, B, Q)
-    except ValueError as e:
+    except np.linalg.LinAlgError as e:
         # well-formed flags, no certificate: a numeric failure, not usage
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1

@@ -22,12 +22,12 @@ arrays for inference (model_step) and on a tape for training (step_expr).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .lyapunov import LyapunovNet, make_lyapunov
+from .lyapunov import LyapunovNet
 from .nets import Mlp
 
 MODES = ("convex", "implicit", "projection", "none")
@@ -67,58 +67,69 @@ class StepInfo:
     residual: np.ndarray | None = None    # |V(gamma*y) - beta*V(x)| where solved
 
 
-def check_certificate(model, modes) -> None:
-    """Refuse a mode outside modes, and certificate settings no model can honour."""
-    if model.mode not in modes:
-        raise ValueError(f"mode must be one of {modes}")
-    if not 0.0 < model.beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if model.rootfind_tol <= 0:
-        raise ValueError("rootfind_tol must be positive")
-    if model.backward_route not in BACKWARD_ROUTES:
-        raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
-    if model.mode == "convex" and model.lyap.variant == "lnn":
-        raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
-
-
 @dataclass
-class StableModel:
-    """A free predictor plus the Lyapunov machinery that constrains it."""
+class Certified:
+    """The settings every certified model shares, and the V they build.
+
+    A model's dataclass fields are its settings and nothing else: its
+    networks are plain attributes built from them, so fields() and asdict()
+    give exactly what a saved file records.
+    """
+
+    MODES = MODES
 
     mode: str
-    fhat: Mlp
-    lyap: LyapunovNet
+    dim: int
+    variant: str
+    _: KW_ONLY
+    hidden_f: tuple = (25, 25)
+    hidden_v: tuple = (25, 25)
+    activation: str = "tanh"
     beta: float = 0.99
     rootfind_tol: float = 1e-3
-    integrating: bool = False
     backward_route: str = "fixed_point"
 
     def __post_init__(self):
-        check_certificate(self, MODES)
+        if self.mode not in self.MODES:
+            raise ValueError(f"mode must be one of {self.MODES}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
+        if self.rootfind_tol <= 0:
+            raise ValueError("rootfind_tol must be positive")
+        if self.backward_route not in BACKWARD_ROUTES:
+            raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
+        if self.mode == "convex" and self.variant == "lnn":
+            raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
+        self.hidden_f, self.hidden_v = tuple(self.hidden_f), tuple(self.hidden_v)
+        self.lyap = LyapunovNet(self.variant, self.dim, self.hidden_v)
+
+    def _mlp(self, prefix: str, out_dim: int) -> Mlp:
+        return Mlp(layer_dims=[self.dim, *self.hidden_f, out_dim],
+                   activation=self.activation, prefix=prefix)
+
+    def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
+        for net in self.nets:
+            net.init_params(store, rng)
+
+
+@dataclass(kw_only=True)
+class StableModel(Certified):
+    """A free predictor fhat plus the Lyapunov machinery that constrains it."""
+
+    integrating: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.integrating and self.mode not in ("projection", "none"):
             # scaling the whole next state toward the origin has no sensible
             # increment form; only the increment-based models compose with x + delta
             raise ValueError("integrating form needs projection or none mode")
-
-    @property
-    def dim(self) -> int:
-        return self.lyap.dim
-
-    def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
-        self.fhat.init_params(store, rng)
-        self.lyap.init_params(store, rng)
+        self.fhat = self._mlp("f", self.dim)
+        self.nets = (self.fhat, self.lyap)
 
 
-def make_model(mode: str, dim: int, variant: str, hidden_f=(25, 25), hidden_v=(25, 25),
-               activation: str = "tanh", beta: float = 0.99, rootfind_tol: float = 1e-3,
-               integrating: bool = False, epsilon: float = 0.001, d: float = 0.1,
-               backward_route: str = "fixed_point") -> StableModel:
-    fhat = Mlp(layer_dims=[dim, *tuple(hidden_f), dim], activation=activation,
-               prefix="f", d=d)
-    lyap = make_lyapunov(variant, dim, hidden=hidden_v, epsilon=epsilon, d=d)
-    return StableModel(mode=mode, fhat=fhat, lyap=lyap, beta=beta,
-                       rootfind_tol=rootfind_tol, integrating=integrating,
-                       backward_route=backward_route)
+# the model's one construction path, under the name callers know
+make_model = StableModel
 
 
 # ---------------------------------------------------------------------------

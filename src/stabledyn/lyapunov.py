@@ -1,6 +1,6 @@
 """Learnable candidate Lyapunov functions.
 
-Three constructions, all satisfying V(0) = 0 and V(x) >= eps*||x||^2:
+Three constructions, all satisfying V(0) = 0 and V(x) >= EPSILON*||x||^2:
 
 * "lnn"         warped sum of squares phi(x)^T phi(x) with a bias-free net,
                 smooth_relu hidden layers, linear output. Positive definite
@@ -37,27 +37,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import Mlp, activation_deriv
+from .nets import D, Mlp
 
 VARIANTS = ("lnn", "icnn", "convex_lnn")
 
 # V's parameters are stored as "V.<name>"; saved model files use these names
 PREFIX = "V"
 
+# weight of the quadratic floor every variant adds
+EPSILON = 0.001
+
 
 @dataclass
 class LyapunovNet:
     variant: str
     dim: int
-    hidden: tuple
-    epsilon: float = 0.001
-    d: float = 0.1
+    hidden: tuple = (25, 25)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.variant in ("lnn", "convex_lnn"):
             out_act = "identity" if self.variant == "lnn" else "smooth_relu"
@@ -67,7 +66,6 @@ class LyapunovNet:
                 output_activation=out_act,
                 prefix=PREFIX,
                 use_bias=False,
-                d=self.d,
             )
             if self.variant == "convex_lnn":
                 self._clamped = [f"{PREFIX}.W{i}" for i in range(1, self._mlp.n_layers)]
@@ -122,20 +120,20 @@ class LyapunovNet:
         else:
             excess, seed_fn = self._icnn_body(x, store, tape)
 
-        quad = ad.mul(ad.rowdot(x, x), self.epsilon)
+        quad = ad.mul(ad.rowdot(x, x), EPSILON)
         if self.variant == "lnn":
             V = ad.add(excess, quad)
         else:
-            V = ad.add(ad.smooth_relu(excess, self.d), quad)
+            V = ad.add(ad.smooth_relu(excess, D), quad)
         if not need_grad:
             return V, None
 
         if self.variant == "lnn":
             d_x = seed_fn(None)
         else:
-            s = ad.smooth_relu_deriv(excess, self.d)
+            s = ad.smooth_relu_deriv(excess, D)
             d_x = seed_fn(s)
-        gradV = ad.add(d_x, ad.mul(x, 2.0 * self.epsilon))
+        gradV = ad.add(d_x, ad.mul(x, 2.0 * EPSILON))
         return V, gradV
 
     def _mlp_body(self, x, store, tape):
@@ -162,21 +160,21 @@ class LyapunovNet:
         u2, w2, b2 = P("u2"), P("w2"), P("b2")
 
         a1 = ad.linear(x, W0, b0)
-        z1 = ad.smooth_relu(a1, self.d)
+        z1 = ad.smooth_relu(a1, D)
         a2 = ad.add(ad.linear(z1, U1, b1), ad.linear(x, W1))
-        z2 = ad.smooth_relu(a2, self.d)
+        z2 = ad.smooth_relu(a2, D)
         g = ad.squeeze_last(ad.add(ad.linear(z2, u2, b2), ad.linear(x, w2)))
         # g(0) from the biases alone: each dropped linear(0, W) term is an exact +-0
-        z1_0 = ad.smooth_relu(b0, self.d)
-        z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), self.d)
+        z1_0 = ad.smooth_relu(b0, D)
+        z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), D)
         g0 = ad.squeeze_last(ad.linear(z2_0, u2, b2))
 
         def seed_fn(s):
             se = ad.expand_last(s)
             d_z2 = ad.linear_t(se, u2)
-            d_a2 = ad.mul(d_z2, activation_deriv("smooth_relu", a2, self.d))
+            d_a2 = ad.mul(d_z2, ad.smooth_relu_deriv(a2, D))
             d_z1 = ad.linear_t(d_a2, U1)
-            d_a1 = ad.mul(d_z1, activation_deriv("smooth_relu", a1, self.d))
+            d_a1 = ad.mul(d_z1, ad.smooth_relu_deriv(a1, D))
             return ad.add(
                 ad.add(ad.linear_t(d_a1, W0), ad.linear_t(d_a2, W1)),
                 ad.linear_t(se, w2),
@@ -184,7 +182,3 @@ class LyapunovNet:
 
         return ad.sub(g, g0), seed_fn
 
-
-def make_lyapunov(variant: str, dim: int, hidden=(25, 25), epsilon: float = 0.001,
-                  d: float = 0.1) -> LyapunovNet:
-    return LyapunovNet(variant=variant, dim=dim, hidden=hidden, epsilon=epsilon, d=d)

@@ -8,72 +8,56 @@ reproduces the model down to the last ulp.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ParamStore
-from .deterministic import MAX_BISECT, MAX_NEWTON, StableModel, make_model
-from .stochastic import StochasticModel, make_stochastic_model
+from .deterministic import MAX_BISECT, MAX_NEWTON, StableModel
+from .lyapunov import EPSILON
+from .nets import D
+from .stochastic import StochasticModel
 
 FORMAT_VERSION = 1
 
+KINDS = {"deterministic": StableModel, "mdn": StochasticModel}
+
+# older files record these settings, which are now fixed; a file holding the
+# fixed value loads, any other value is refused
+FIXED = {"max_newton": MAX_NEWTON, "max_bisect": MAX_BISECT, "epsilon": EPSILON, "d": D}
+
 
 def save_model(path, model, store: ParamStore) -> None:
-    if not isinstance(model, (StableModel, StochasticModel)):
+    """Write the model's settings (its dataclass fields) and parameters."""
+    kind = next((k for k, cls in KINDS.items() if type(model) is cls), None)
+    if kind is None:
         raise ValueError(f"cannot save a {type(model).__name__}")
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "mode": model.mode,
-        "beta": model.beta,
-        "rootfind_tol": model.rootfind_tol,
-        "backward_route": model.backward_route,
-        "variant": model.lyap.variant,
-        "dim": model.lyap.dim,
-        "hidden_v": list(model.lyap.hidden),
-        "epsilon": model.lyap.epsilon,
-        "d": model.lyap.d,
-    }
-    if isinstance(model, StochasticModel):
-        doc.update(kind="mdn", k=model.k, sigma_cap=model.sigma_cap)
-        net = model.trunk
-    else:
-        doc.update(kind="deterministic", integrating=model.integrating)
-        net = model.fhat
-    doc["hidden_f"] = list(net.layer_dims[1:-1])
-    doc["activation"] = net.activation
-    doc["params"] = {k: v.tolist() for k, v in store.values.items()}
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, **asdict(model),
+           "params": {k: v.tolist() for k, v in store.values.items()}}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def load_model(path):
     """Rebuild (model, store) from a saved file.
 
-    Raises ValueError when the saved parameters do not match, by name and
-    shape, the architecture the file describes.
+    Raises ValueError when a setting is missing, or the saved parameters do
+    not match, by name and shape, the architecture the file describes.
     """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = doc["kind"]
-    common = dict(mode=doc["mode"], dim=doc["dim"], variant=doc["variant"],
-                  hidden_f=tuple(doc["hidden_f"]), hidden_v=tuple(doc["hidden_v"]),
-                  activation=doc["activation"], beta=doc["beta"],
-                  rootfind_tol=doc["rootfind_tol"], epsilon=doc["epsilon"],
-                  d=doc["d"], backward_route=doc["backward_route"])
-    if kind == "deterministic":
-        model = make_model(integrating=doc["integrating"], **common)
-    elif kind == "mdn":
-        model = make_stochastic_model(k=doc["k"], sigma_cap=doc["sigma_cap"],
-                                      **common)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    # older files record the solver budgets, which every model now shares
-    for key, budget in (("max_newton", MAX_NEWTON), ("max_bisect", MAX_BISECT)):
-        if doc.get(key, budget) != budget:
-            raise ValueError(f"{key} = {doc[key]!r} is not supported; the solver "
-                             f"budget is fixed at {budget}")
+    cls = KINDS.get(doc["kind"])
+    if cls is None:
+        raise ValueError(f"unknown model kind {doc['kind']!r}")
+    for key, value in FIXED.items():
+        if doc.get(key, value) != value:
+            raise ValueError(f"{key} = {doc[key]!r} is not supported; it is fixed at {value}")
+    missing = [f.name for f in fields(cls) if f.name not in doc]
+    if missing:
+        raise ValueError(f"saved model lacks settings {missing}")
+    model = cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     store = ParamStore()
     for name, vals in doc["params"].items():

@@ -14,20 +14,23 @@ from . import autodiff as ad
 
 ACTIVATIONS = ("identity", "relu", "smooth_relu", "tanh")
 
+# smooth_relu's knot: quadratic on [0, D], linear past it
+D = 0.1
 
-def apply_activation(name: str, u, d: float):
+
+def apply_activation(name: str, u):
     if name == "identity":
         return u
     if name == "relu":
         return ad.relu(u)
     if name == "smooth_relu":
-        return ad.smooth_relu(u, d)
+        return ad.smooth_relu(u, D)
     if name == "tanh":
         return ad.tanh(u)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_deriv(name: str, u, d: float):
+def activation_deriv(name: str, u):
     """Derivative of the activation as an expression in the pre-activation."""
     if name == "identity":
         return None
@@ -35,7 +38,7 @@ def activation_deriv(name: str, u, d: float):
         uv = ad.value_of(u)
         return (uv > 0.0).astype(np.float64)
     if name == "smooth_relu":
-        return ad.smooth_relu_deriv(u, d)
+        return ad.smooth_relu_deriv(u, D)
     if name == "tanh":
         t = ad.tanh(u)
         return ad.sub(1.0, ad.mul(t, t))
@@ -55,7 +58,6 @@ class Mlp:
     output_activation: str = "identity"
     prefix: str = "net"
     use_bias: bool = True
-    d: float = 0.1
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
@@ -97,7 +99,7 @@ class Mlp:
             a = ad.linear(h, W, b)
             if cache is not None:
                 cache.append(a)
-            h = apply_activation(self._act_name(i), a, self.d)
+            h = apply_activation(self._act_name(i), a)
         return h
 
     def vjp_input(self, dout, cache: list, store: ad.ParamStore, tape: ad.Tape | None = None):
@@ -109,7 +111,7 @@ class Mlp:
         """
         d_h = dout
         for i in reversed(range(self.n_layers)):
-            deriv = activation_deriv(self._act_name(i), cache[i], self.d)
+            deriv = activation_deriv(self._act_name(i), cache[i])
             d_a = d_h if deriv is None else ad.mul(d_h, deriv)
             W, _ = self._params(store, tape, i)
             d_h = ad.linear_t(d_a, W)

@@ -1,4 +1,4 @@
-"""Mixture density dynamics with an expected-decrease guarantee.
+"""Mixture density dynamics whose mixture mean is certified.
 
 A trunk network emits the 2nk raw outputs for component means and spreads; a
 separate coefficient network emits the k mixing logits. In the stabilized
@@ -6,8 +6,11 @@ construction the mixture mean is pushed below the beta*V(x) level set with
 the same gamma machinery the deterministic models use (one gamma scales
 every component mean), and each component's standard deviation is tethered
 to the value of V at the scaled mean: sigma = sigmoid(raw) *
-sqrt(sigma_cap * V(mu)). Together these bound the expected next value of V,
-and the bound holds on every forward pass, training included.
+sqrt(sigma_cap * V(mu)). On every forward pass, training included, this
+certifies V(mu) <= beta*V(x) (within rootfind_tol in implicit mode) and
+sigma^2 <= sigma_cap * V(mu), and nothing more: it does not bound the
+expected next value E[V(x')], which for a convex V is at least V(mu) by
+Jensen's inequality and can exceed V(x).
 
 With mode "none" the same architecture is a plain mixture density network
 (sigma = exp(raw), no scaling); it exists as a baseline.
@@ -20,64 +23,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import (StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw, check_certificate)
-from .lyapunov import LyapunovNet, make_lyapunov
-from .nets import Mlp
+from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
+                            certified_gamma_raw)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 STAB_MODES = ("convex", "implicit", "none")
 
 
-@dataclass
-class StochasticModel:
-    mode: str                     # how the mixture mean is stabilized
-    trunk: Mlp                    # n -> 2nk raw means and spreads
-    coeff: Mlp                    # n -> k mixing logits
-    lyap: LyapunovNet
-    k: int
-    beta: float = 0.99
-    rootfind_tol: float = 1e-3
+@dataclass(kw_only=True)
+class StochasticModel(Certified):
+    """A mixture head over trunk (n -> 2nk raw means and spreads) and coeff
+    (n -> k mixing logits), with V stabilizing the mixture mean."""
+
+    MODES = STAB_MODES
+
+    k: int = 2
     sigma_cap: float = 1.0
-    backward_route: str = "fixed_point"
 
     def __post_init__(self):
-        check_certificate(self, STAB_MODES)
+        super().__post_init__()
         if self.k < 1:
             raise ValueError("need at least one mixture component")
         if self.sigma_cap <= 0:
             raise ValueError("sigma_cap must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.lyap.dim
+        self.trunk = self._mlp("trunk", 2 * self.dim * self.k)
+        self.coeff = self._mlp("coeff", self.k)
+        self.nets = (self.trunk, self.coeff, self.lyap)
 
     @property
     def stabilized(self) -> bool:
         return self.mode != "none"
 
-    def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
-        self.trunk.init_params(store, rng)
-        self.coeff.init_params(store, rng)
-        self.lyap.init_params(store, rng)
 
-
-def make_stochastic_model(mode: str, dim: int, variant: str, k: int = 2,
-                          hidden_f=(25, 25), hidden_v=(25, 25), sigma_cap: float = 1.0,
-                          beta: float = 0.99, rootfind_tol: float = 1e-3,
-                          epsilon: float = 0.001, d: float = 0.1,
-                          activation: str = "tanh",
-                          backward_route: str = "fixed_point") -> StochasticModel:
-    hf = tuple(hidden_f)
-    trunk = Mlp(layer_dims=[dim, *hf, 2 * dim * k], activation=activation,
-                prefix="trunk", d=d)
-    coeff = Mlp(layer_dims=[dim, *hf, k], activation=activation,
-                prefix="coeff", d=d)
-    lyap = make_lyapunov(variant, dim, hidden=hidden_v, epsilon=epsilon, d=d)
-    return StochasticModel(mode=mode, trunk=trunk, coeff=coeff, lyap=lyap, k=k,
-                           beta=beta, rootfind_tol=rootfind_tol,
-                           sigma_cap=sigma_cap, backward_route=backward_route)
+# the model's one construction path, under the name callers know
+make_stochastic_model = StochasticModel
 
 
 @dataclass

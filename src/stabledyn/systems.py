@@ -145,21 +145,29 @@ def solve_discrete_lyapunov(A: np.ndarray, B, Q: np.ndarray) -> np.ndarray:
     """P solving A^T P A + B^T P B - P = -Q for x' = A x + B x w, w ~ N(0,1).
 
     B may be a scalar b, read as b*I. Solved by vectorizing:
-    (I - kron(A^T, A^T) - kron(B^T, B^T)) vec(P) = vec(Q). The result is
-    symmetrized and must come out positive definite, otherwise no quadratic
-    certificate exists and a ValueError is raised.
+    (I - kron(A^T, A^T) - kron(B^T, B^T)) vec(P) = vec(Q). A must be square
+    and a matrix B, like Q, of A's shape; otherwise a ValueError names the
+    argument. The result is symmetrized and must come out positive definite,
+    otherwise no quadratic certificate exists and np.linalg.LinAlgError (a
+    ValueError too) is raised.
     """
     A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
     n = A.shape[0]
-    if np.isscalar(B) or np.asarray(B).ndim == 0:
+    if np.ndim(B) == 0:
         B = float(B) * np.eye(n)
     B = np.asarray(B, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
+    for name, M in (("B", B), ("Q", Q)):
+        if M.shape != A.shape:
+            raise ValueError(f"{name} has shape {M.shape}, A has {A.shape}")
     M = np.eye(n * n) - np.kron(A.T, A.T) - np.kron(B.T, B.T)
     P = np.linalg.solve(M, Q.reshape(-1)).reshape(n, n)
     P = 0.5 * (P + P.T)
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise ValueError("no positive definite solution; the map is not mean-square stable")
+        raise np.linalg.LinAlgError(
+            "no positive definite solution; the map is not mean-square stable")
     return P
 
 

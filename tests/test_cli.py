@@ -69,6 +69,20 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("system, flags, flag", [
+    ("lorenz", ["--grid=-6,6,4", "--steps", "5"], "--grid"),
+    ("saturated", ["--b", "0.5"], "--b"),
+    ("linear", ["--h", "0.3"], "--h"),
+], ids=["lorenz-grid", "saturated-b", "linear-h"])
+def test_gen_refuses_flags_the_system_never_reads(tmp_path, capsys, system, flags, flag):
+    out = tmp_path / "d.csv"
+    code = main(["gen", "--system", system, "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_train_writes_model_and_report(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     code, doc, out = _train(tmp_path, capsys, data)
@@ -191,6 +205,19 @@ def test_lyap_solve_scalar_oracle(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--a=0.9,1"], "A must be square"),
+    (["--a=0.9,1;0,0.9", "--b=0.1,0.2"], "B has shape (1, 2)"),
+    (["--a=0.9,1;0,0.9", "--q=1,0;0,1;0,0"], "Q has shape (3, 2)"),
+], ids=["a-not-square", "b-shape", "q-shape"])
+def test_lyap_solve_refuses_misshaped_matrices(capsys, flags, name):
+    # a usage error (2), not the numeric failure (1) of a map with no certificate
+    code = main(["lyap-solve", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert name in captured.err and "Traceback" not in captured.err
+
+
 def test_gradcheck_saved_model(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     _, _, model = _train(tmp_path, capsys, data, model="implicit", v="lnn")
@@ -309,7 +336,10 @@ def test_counts_out_of_range_are_refused_by_name(tmp_path, capsys, argv, name):
 def test_eval_refuses_data_of_another_dimension(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     _, _, model = _train(tmp_path, capsys, data)
-    lorenz, _ = _gen(tmp_path, capsys, system="lorenz", name="lz.csv")
+    lorenz = tmp_path / "lz.csv"
+    code, _ = _run(["gen", "--system", "lorenz", "--out", str(lorenz), "--steps", "5"],
+                   capsys)
+    assert code == 0
     code = main(["eval", "--model-file", str(model), "--data", str(lorenz)])
     err = capsys.readouterr().err
     assert code == 2 and "3 columns, model expects 2" in err

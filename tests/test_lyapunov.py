@@ -3,11 +3,12 @@ import pytest
 
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
-from stabledyn.lyapunov import VARIANTS, make_lyapunov
+from stabledyn.lyapunov import EPSILON, VARIANTS, LyapunovNet
+from stabledyn.nets import D
 
 
 def _fresh(variant, dim=2, hidden=(6, 6), seed=0):
-    net = make_lyapunov(variant, dim, hidden=hidden)
+    net = LyapunovNet(variant, dim, hidden=hidden)
     store = ParamStore()
     net.init_params(store, np.random.default_rng(seed))
     return net, store
@@ -15,9 +16,7 @@ def _fresh(variant, dim=2, hidden=(6, 6), seed=0):
 
 def test_rejects_unknown_variant():
     with pytest.raises(ValueError):
-        make_lyapunov("quadratic", 2)
-    with pytest.raises(ValueError):
-        make_lyapunov("lnn", 2, epsilon=0.0)
+        LyapunovNet("quadratic", 2)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -36,7 +35,7 @@ def test_quadratic_floor(variant):
         net, store = _fresh(variant, seed=seed)
         X = rng.uniform(-8.0, 8.0, size=(50, 2))
         v = net.value(X, store)
-        floor = net.epsilon * (X * X).sum(-1)
+        floor = EPSILON * (X * X).sum(-1)
         assert np.all(v >= floor - 1e-12), (variant, seed)
 
 
@@ -105,7 +104,7 @@ def test_icnn_z_layers_take_the_first_and_last_width():
     assert _fresh("icnn", hidden=(5,))[1].shapes()["V.U1"] == (5, 5)
     for hidden in ((4, 3, 9), ()):
         with pytest.raises(ValueError, match="one or two hidden widths"):
-            make_lyapunov("icnn", 2, hidden=hidden)
+            LyapunovNet("icnn", 2, hidden=hidden)
 
 
 def test_clamp_projects_constrained_weights():
@@ -136,7 +135,7 @@ def test_init_respects_constraints():
 
 
 def test_icnn_hand_computed_value_and_grad():
-    net = make_lyapunov("icnn", 1, hidden=(1,))
+    net = LyapunovNet("icnn", 1, hidden=(1,))
     store = ParamStore()
     net.init_params(store, np.random.default_rng(0))
     store.values["V.W0"][...] = [[2.0]]
@@ -157,7 +156,7 @@ def test_icnn_hand_computed_value_and_grad():
 
 
 def test_lnn_hand_computed_value_and_grad():
-    net = make_lyapunov("lnn", 1, hidden=(1,))
+    net = LyapunovNet("lnn", 1, hidden=(1,))
     store = ParamStore()
     net.init_params(store, np.random.default_rng(0))
     store.values["V.W0"][...] = [[3.0]]
@@ -171,7 +170,7 @@ def test_lnn_hand_computed_value_and_grad():
 
 
 def test_convex_lnn_hand_computed_value():
-    net = make_lyapunov("convex_lnn", 1, hidden=(1,))
+    net = LyapunovNet("convex_lnn", 1, hidden=(1,))
     store = ParamStore()
     net.init_params(store, np.random.default_rng(0))
     store.values["V.W0"][...] = [[2.0]]
@@ -222,8 +221,8 @@ def _srelu(u, d):
 def _icnn_full_body(net, store, x):
     """g(x) with every term, the zero-input linear maps included."""
     p = {k.split(".", 1)[1]: v for k, v in store.values.items()}
-    z1 = _srelu(x @ p["W0"].T + p["b0"], net.d)
-    z2 = _srelu((z1 @ p["U1"].T + p["b1"]) + x @ p["W1"].T, net.d)
+    z1 = _srelu(x @ p["W0"].T + p["b0"], D)
+    z2 = _srelu((z1 @ p["U1"].T + p["b1"]) + x @ p["W1"].T, D)
     return ((z2 @ p["u2"].T + p["b2"]) + x @ p["w2"].T)[..., 0]
 
 
@@ -236,7 +235,7 @@ def test_icnn_bias_only_g0_equals_the_full_body_at_the_origin():
             v[...] = rng.normal(size=v.shape)
             v.flat[0] = -abs(v.flat[0])
         # b0 on both sides of 0 and of the knot d, exact 0 and d included
-        d = net.d
+        d = D
         store.values["V.b0"][...] = [-2 * d, -d / 2, 0.0, d / 4, d / 2, d, 1.5 * d, 3 * d, -5 * d]
         store.values["V.U1"][...] = rng.uniform(0.0, 1.0, size=(9, 9))
         store.values["V.u2"][...] = rng.uniform(0.0, 1.0, size=(1, 9))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -65,6 +66,28 @@ def test_stochastic_round_trip(tmp_path):
     assert np.array_equal(a.sigma, b.sigma)
 
 
+@pytest.mark.parametrize("model", [
+    make_model("projection", 3, "convex_lnn", hidden_f=(7, 4), hidden_v=(6, 5),
+               activation="smooth_relu", beta=0.9, rootfind_tol=1e-5,
+               backward_route="direct", integrating=True),
+    make_stochastic_model("implicit", 2, "icnn", hidden_f=(6,), hidden_v=(5, 4),
+                          activation="relu", beta=0.8, rootfind_tol=1e-6,
+                          backward_route="direct", k=3, sigma_cap=0.25),
+], ids=["deterministic", "mdn"])
+def test_every_setting_survives_the_trip(tmp_path, model):
+    # a model's fields are its settings; the saved header must carry each one
+    defaults = type(model)("none", model.dim, model.variant)
+    assert all(v != asdict(defaults)[k] for k, v in asdict(model).items()
+               if k not in ("mode", "dim", "variant"))
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(9))
+    p = tmp_path / "m.json"
+    save_model(p, model, store)
+    m2, _ = load_model(p)
+    assert type(m2) is type(model)
+    assert asdict(m2) == asdict(model)
+
+
 def test_trained_weights_survive_the_trip(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.uniform(-4, 4, size=(60, 2))
@@ -128,6 +151,14 @@ def test_missing_parameter_rejected(tmp_path):
         load_model(p)
 
 
+def test_missing_setting_rejected(tmp_path):
+    p, doc = _saved_doc(tmp_path)
+    del doc["integrating"], doc["beta"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"lacks settings \['beta', 'integrating'\]"):
+        load_model(p)
+
+
 def test_extra_parameter_rejected(tmp_path):
     p, doc = _saved_doc(tmp_path)
     doc["params"]["V.W2"] = [[0.5, 0.5]]
@@ -160,7 +191,12 @@ def test_solver_budgets_from_older_files(tmp_path):
     p.write_text(json.dumps(doc))
     m2, _ = load_model(p)
     assert not hasattr(m2, "max_newton") and not hasattr(m2, "max_bisect")
-    for key, value in (("max_newton", 20), ("max_bisect", 100)):
+    # the quadratic floor's weight and the smooth_relu knot are constants too
+    doc.update(epsilon=0.001, d=0.1)
+    p.write_text(json.dumps(doc))
+    load_model(p)
+    for key, value in (("max_newton", 20), ("max_bisect", 100), ("epsilon", 0.002),
+                       ("d", 0.2)):
         other = dict(doc, **{key: value})
         p.write_text(json.dumps(other))
         with pytest.raises(ValueError, match=key):

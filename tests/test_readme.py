@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import stabledyn
 from stabledyn.cli import _preprocess, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +22,13 @@ def test_library_example_imports_resolve():
     imports = [ln for ln in block.splitlines() if ln.startswith(("import ", "from "))]
     assert imports
     exec("\n".join(imports), {})
+
+
+def test_every_exported_name_resolves():
+    # a stale entry in __all__ breaks `from stabledyn import *` and nothing else
+    missing = [name for name in stabledyn.__all__ if not hasattr(stabledyn, name)]
+    assert not missing
+    exec("from stabledyn import *", {})
 
 
 def test_cli_examples_parse():

@@ -163,6 +163,15 @@ def test_unstable_map_has_no_certificate():
         solve_discrete_lyapunov(np.array([[0.9]]), 0.5, np.array([[1.0]]))
 
 
+def test_misshaped_matrices_are_refused_by_name():
+    I2 = np.eye(2)
+    for args, name in (((np.array([[0.9, 1.0]]), 0.0, np.eye(1)), "A"),
+                       ((LINEAR_A, np.array([[0.1, 0.2]]), I2), "B"),
+                       ((LINEAR_A, 0.1, np.ones((3, 2))), "Q")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            solve_discrete_lyapunov(*args)
+
+
 def test_grid_covers_square_without_origin():
     starts = grid_starts(-6.0, 6.0, 14)
     assert starts.shape == (196, 2)
