@@ -16,41 +16,55 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, grad_check
-from .deterministic import RootFindError, StableModel, rollout, step_expr
+from .deterministic import MODES, RootFindError, StableModel, rollout, step_expr
+from .lyapunov import VARIANTS
 from .model_io import load_model, save_model
-from .stochastic import StochasticModel, mdn_forward, mdn_nll, stochastic_rollout
-from .systems import generate_transitions, load_transitions, save_transitions, solve_discrete_lyapunov
+from .stochastic import STAB_MODES, StochasticModel, mdn_forward, mdn_nll, stochastic_rollout
+from .systems import (SYSTEMS, generate_transitions, load_transitions, save_transitions,
+                      solve_discrete_lyapunov)
 from .training import (TrainConfig, evaluate_mse, evaluate_nll,
                        evaluate_violations, train)
 
-GEN_SYSTEMS = ("linear", "linear-stoch", "saturated", "sde", "lorenz")
-DEFAULT_STEPS = {"lorenz": 3000, "sde": 10}
-MODEL_CHOICES = ("convex", "implicit", "projection", "none",
-                 "mdn-convex", "mdn-implicit", "mdn-none")
-V_CHOICES = ("icnn", "lnn", "convex-lnn")
+# train's flags that are not settings of the model or of TrainConfig
+TRAIN_IO = ("command", "config", "model", "v", "data", "out")
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError("entries must be finite numbers")
+    return values
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    return _finite(np.array([float(v) for v in text.split(",")]))
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
+    return _finite(np.array([[float(v) for v in row.split(",")]
+                             for row in text.split(";")]))
+
+
+def _parse_gain(text: str):
+    """A matrix, or a scalar read as that multiple of the identity."""
+    M = _parse_matrix(text)
+    return float(M[0, 0]) if M.size == 1 else M
 
 
 def _parse_hidden(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(text: str) -> dict:
     lo, hi, count = text.split(",")
-    return float(lo), float(hi), int(count)
+    lo, hi = _finite(np.array([float(lo), float(hi)])).tolist()
+    return {"lo": lo, "hi": hi, "grid_points": int(count)}
 
 
 def _emit(obj) -> None:
@@ -71,13 +85,13 @@ def build_parser():
         return p
 
     p = add("gen", "simulate a reference system into a transition CSV")
-    p.add_argument("--system", required=True, choices=GEN_SYSTEMS)
+    p.add_argument("--system", required=True, choices=(*SYSTEMS, "linear-stoch"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None,
-                   help="steps per trajectory (default 40; 10 stochastic, 3000 chaotic)")
+                   help="steps per trajectory (default: the system's own)")
     p.add_argument("--grid", type=_parse_grid, default=None,
-                   help="lo,hi,count start grid per axis (default -6,6,14)")
+                   help="lo,hi,count start grid per axis (default: the library's)")
     p.add_argument("--x0", type=_parse_vector, default=None,
                    help="single trajectory from this comma-separated start instead")
     p.add_argument("--h", type=float, default=None, help="override the step size")
@@ -85,25 +99,27 @@ def build_parser():
                    help="noise gain of the linear map (default 0.1 for linear-stoch)")
 
     p = add("train", "fit a model to transition data")
-    p.add_argument("--model", required=True, choices=MODEL_CHOICES,
+    p.add_argument("--model", required=True,
+                   choices=(*MODES, *(f"mdn-{m}" for m in STAB_MODES)),
                    help="stability mode; mdn- prefix switches to the mixture model")
-    p.add_argument("--v", choices=V_CHOICES, default="icnn",
+    p.add_argument("--v", choices=[v.replace("_", "-") for v in VARIANTS], default="icnn",
                    help="Lyapunov network variant")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=2, help="mixture components (mdn)")
-    p.add_argument("--sigma-cap", type=float, default=1.0)
-    p.add_argument("--integrating", action="store_true",
-                   help="treat the free prediction as an increment")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.0025)
-    p.add_argument("--batch-size", type=int, default=None)
+    # a setting left out takes the model class's or TrainConfig's default
+    p.add_argument("--k", type=int, help="mixture components (mdn only)")
+    p.add_argument("--sigma-cap", type=float, help="spread cap (mdn only)")
+    p.add_argument("--integrating", action="store_true", default=None,
+                   help="treat the free prediction as an increment (deterministic only)")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=0.99)
-    p.add_argument("--rootfind-tol", type=float, default=1e-3)
-    p.add_argument("--hidden-f", type=_parse_hidden, default=(25, 25))
-    p.add_argument("--hidden-v", type=_parse_hidden, default=(25, 25))
-    p.add_argument("--activation", choices=["tanh", "relu", "smooth_relu"], default="tanh")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--rootfind-tol", type=float)
+    p.add_argument("--hidden-f", type=_parse_hidden)
+    p.add_argument("--hidden-v", type=_parse_hidden)
+    p.add_argument("--activation", choices=["tanh", "relu", "smooth_relu"])
     p.add_argument("--verbose", action="store_true")
 
     p = add("rollout", "iterate a saved model and write the trajectory CSV")
@@ -125,8 +141,8 @@ def build_parser():
 
     p = add("lyap-solve", "exact quadratic certificate for x' = Ax + Bxw")
     p.add_argument("--a", required=True, type=_parse_matrix, help="rows split by ';'")
-    p.add_argument("--b", default="0", help="scalar or matrix noise gain")
-    p.add_argument("--q", default=None, help="right-hand side, default identity")
+    p.add_argument("--b", type=_parse_gain, default="0", help="scalar or matrix noise gain")
+    p.add_argument("--q", type=_parse_matrix, help="right-hand side, default identity")
 
     p = add("gradcheck", "tape gradients of a saved model against finite differences")
     p.add_argument("--model-file", required=True)
@@ -195,43 +211,39 @@ def _apply_config(parser, commands, argv):
 def _cmd_gen(args) -> int:
     system = args.system
     name = "linear" if system == "linear-stoch" else system
-    b = args.b if args.b is not None else (0.1 if system == "linear-stoch" else 0.0)
-    steps = args.steps if args.steps is not None else DEFAULT_STEPS.get(name, 40)
+    spec = SYSTEMS[name]
     if args.x0 is not None and args.grid is not None:
         raise ValueError("give either --grid or --x0, not both")
-    # lorenz runs one trajectory, only the linear map has a noise gain, and
-    # it alone has no step size
-    for flag, value, unread in (("--grid", args.grid, name == "lorenz"),
+    # a system with a fixed start runs one trajectory, only the linear map
+    # has a noise gain, and a system with no step size reads none
+    for flag, value, unread in (("--grid", args.grid, spec.x0 is not None),
                                 ("--b", args.b, name != "linear"),
-                                ("--h", args.h, name == "linear")):
+                                ("--h", args.h, not spec.h)):
         if value is not None and unread:
             raise ValueError(f"{flag} is not read by the {system} system")
-    common = dict(seed=args.seed, steps=steps, h=args.h, b=b)
-    if args.x0 is not None:
-        X, Y, meta = generate_transitions(name, x0=args.x0, **common)
-    else:
-        lo, hi, count = args.grid if args.grid is not None else (-6.0, 6.0, 14)
-        X, Y, meta = generate_transitions(name, lo=lo, hi=hi, grid_points=count,
-                                          **common)
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k in ("seed", "steps", "x0", "h", "b")}
+    if system == "linear-stoch":
+        given.setdefault("b", 0.1)
+    X, Y, meta = generate_transitions(name, **given, **(args.grid or {}))
     save_transitions(args.out, X, Y, meta)
     _emit({"path": args.out, "rows": int(X.shape[0]), "system": system,
-           "steps": steps})
+           "steps": meta["steps"]})
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
-                         seed=args.seed, verbose=args.verbose)
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in TRAIN_IO}
+    config = TrainConfig(**{f.name: given.pop(f.name) for f in fields(TrainConfig)
+                            if f.name in given})
+    cls, mode = ((StochasticModel, args.model[4:]) if args.model.startswith("mdn-")
+                 else (StableModel, args.model))
+    unread = ", ".join("--" + k.replace("_", "-") for k in given
+                       if k not in {f.name for f in fields(cls)})
+    if unread:
+        raise ValueError(f"a {args.model} model does not read {unread}")
     X, Y, _ = load_transitions(args.data)
-    settings = dict(dim=X.shape[1], variant=args.v.replace("-", "_"),
-                    hidden_f=args.hidden_f, hidden_v=args.hidden_v,
-                    activation=args.activation, beta=args.beta,
-                    rootfind_tol=args.rootfind_tol)
-    if args.model.startswith("mdn-"):
-        model = StochasticModel(args.model[4:], k=args.k, sigma_cap=args.sigma_cap,
-                                **settings)
-    else:
-        model = StableModel(args.model, integrating=args.integrating, **settings)
+    model = cls(mode, X.shape[1], args.v.replace("-", "_"), **given)
     store = ParamStore()
     model.init_params(store, np.random.default_rng(args.seed))
     if args.verbose:
@@ -317,10 +329,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lyap_solve(args) -> int:
-    A = args.a
-    b_text = args.b
-    B = _parse_matrix(b_text) if ";" in b_text or "," in b_text else float(b_text)
-    Q = np.eye(A.shape[0]) if args.q is None else _parse_matrix(args.q)
+    A, B = args.a, args.b
+    Q = np.eye(A.shape[0]) if args.q is None else args.q
     try:
         P = solve_discrete_lyapunov(A, B, Q)
     except np.linalg.LinAlgError as e:

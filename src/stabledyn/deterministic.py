@@ -94,8 +94,8 @@ class Certified:
             raise ValueError(f"mode must be one of {self.MODES}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.rootfind_tol <= 0:
-            raise ValueError("rootfind_tol must be positive")
+        if not 0.0 < self.rootfind_tol < np.inf:
+            raise ValueError("rootfind_tol must be positive and finite")
         if self.backward_route not in BACKWARD_ROUTES:
             raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
         if self.mode == "convex" and self.variant == "lnn":

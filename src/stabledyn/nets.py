@@ -31,18 +31,12 @@ def apply_activation(name: str, u):
 
 
 def activation_deriv(name: str, u):
-    """Derivative of the activation as an expression in the pre-activation."""
+    """Derivative of a V stack's activation as an expression in the pre-activation."""
     if name == "identity":
         return None
-    if name == "relu":
-        uv = ad.value_of(u)
-        return (uv > 0.0).astype(np.float64)
     if name == "smooth_relu":
         return ad.smooth_relu_deriv(u, D)
-    if name == "tanh":
-        t = ad.tanh(u)
-        return ad.sub(1.0, ad.mul(t, t))
-    raise ValueError(f"unknown activation {name!r}")
+    raise ValueError(f"no derivative for activation {name!r}")
 
 
 @dataclass

@@ -45,15 +45,11 @@ class StochasticModel(Certified):
         super().__post_init__()
         if self.k < 1:
             raise ValueError("need at least one mixture component")
-        if self.sigma_cap <= 0:
-            raise ValueError("sigma_cap must be positive")
+        if not 0.0 < self.sigma_cap < np.inf:
+            raise ValueError("sigma_cap must be positive and finite")
         self.trunk = self._mlp("trunk", 2 * self.dim * self.k)
         self.coeff = self._mlp("coeff", self.k)
         self.nets = (self.trunk, self.coeff, self.lyap)
-
-    @property
-    def stabilized(self) -> bool:
-        return self.mode != "none"
 
 
 # the model's one construction path, under the name callers know
@@ -68,7 +64,6 @@ class MdnOutput:
     mu: object          # (B, k, n) component means, after any scaling
     sigma: object       # (B, k, n) per-dimension standard deviations
     mu_mix: object      # (B, n) mixture mean, after any scaling
-    max_var: float = 0.0
     gamma: np.ndarray | None = None
     intervened: np.ndarray | None = None
 
@@ -94,10 +89,8 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     pi = ad.softmax(logits)
     mu_mix = ad.sum_axis(ad.mul(ad.expand_last(pi), mu), -2)
 
-    if not model.stabilized:
-        sigma = ad.exp(raw)
-        return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix,
-                         max_var=float((ad.value_of(sigma) ** 2).max()))
+    if model.mode == "none":
+        return MdnOutput(pi=pi, mu=mu, sigma=ad.exp(raw), mu_mix=mu_mix)
 
     v_x = model.lyap.value(X, store, tape)
     if tape is None:
@@ -118,7 +111,6 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     cap = ad.sqrt(ad.mul(v_mu, model.sigma_cap))
     sigma = ad.mul(ad.sigmoid(raw), ad.expand_last(ad.expand_last(cap)))
     return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix,
-                     max_var=float((ad.value_of(sigma) ** 2).max()),
                      gamma=gamma, intervened=mask)
 
 

@@ -97,13 +97,15 @@ def lorenz_rhs(x: np.ndarray, sigma: float = 10.0, rho: float = 28.0,
 class SystemSpec:
     dim: int
     h: float           # step size where a scheme applies, else 0
+    steps: int = 40    # default trajectory length
+    x0: tuple | None = None    # the one start of a system run without a grid
 
 
 SYSTEMS = {
     "linear": SystemSpec(2, 0.0),
     "saturated": SystemSpec(2, 0.1),
-    "sde": SystemSpec(2, 0.05),
-    "lorenz": SystemSpec(3, 0.01),
+    "sde": SystemSpec(2, 0.05, steps=10),
+    "lorenz": SystemSpec(3, 0.01, steps=3000, x0=(1.0, 1.0, 1.0)),
 }
 
 
@@ -119,9 +121,7 @@ def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None
         if rng is None:
             raise ValueError("sde needs a generator")
         return srk2_step(sde_drift, sde_diffusion, x, hh, rng)
-    if name == "lorenz":
-        return rk4_step(lorenz_rhs, x, hh)
-    raise ValueError(f"unknown system {name!r}")
+    return rk4_step(lorenz_rhs, x, hh)
 
 
 def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
@@ -147,9 +147,9 @@ def solve_discrete_lyapunov(A: np.ndarray, B, Q: np.ndarray) -> np.ndarray:
     B may be a scalar b, read as b*I. Solved by vectorizing:
     (I - kron(A^T, A^T) - kron(B^T, B^T)) vec(P) = vec(Q). A must be square
     and a matrix B, like Q, of A's shape; otherwise a ValueError names the
-    argument. The result is symmetrized and must come out positive definite,
-    otherwise no quadratic certificate exists and np.linalg.LinAlgError (a
-    ValueError too) is raised.
+    argument. The result is symmetrized and must come out finite and positive
+    definite, otherwise no quadratic certificate exists and
+    np.linalg.LinAlgError (a ValueError too) is raised.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -165,7 +165,7 @@ def solve_discrete_lyapunov(A: np.ndarray, B, Q: np.ndarray) -> np.ndarray:
     M = np.eye(n * n) - np.kron(A.T, A.T) - np.kron(B.T, B.T)
     P = np.linalg.solve(M, Q.reshape(-1)).reshape(n, n)
     P = 0.5 * (P + P.T)
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
+    if not (np.isfinite(P).all() and np.linalg.eigvalsh(P).min() > 0.0):
         raise np.linalg.LinAlgError(
             "no positive definite solution; the map is not mean-square stable")
     return P
@@ -180,25 +180,27 @@ def grid_starts(lo: float, hi: float, points: int, dim: int = 2) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def generate_transitions(system: str, seed: int = 0, steps: int = 40,
+def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
                          lo: float = -6.0, hi: float = 6.0, grid_points: int = 14,
                          h: float | None = None, b: float = 0.0,
                          x0=None):
     """Transition pairs for a system, plus the metadata that reproduces them.
 
-    Grid systems run one trajectory per grid start; trajectory i uses seed
-    seed+i. An explicit x0 replaces the grid with a single trajectory from
-    that state; the chaotic system defaults to one from (1, 1, 1).
+    steps defaults to the system's own trajectory length (SYSTEMS[system]
+    .steps: 40, but 10 for sde and 3000 for lorenz). Grid systems run one
+    trajectory per grid start; trajectory i uses seed seed+i. An explicit x0
+    replaces the grid with a single trajectory from that state; a system
+    with a fixed start (lorenz, from (1, 1, 1)) always runs one.
     """
+    spec = SYSTEMS[system]
+    steps = spec.steps if steps is None else steps
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    spec = SYSTEMS[system]
     meta = {"system": system, "h": spec.h if h is None else h, "seed": seed,
             "grid": None, "steps": steps}
     if system == "linear":
         meta["b"] = b
-    if system == "lorenz" and x0 is None:
-        x0 = np.ones(3)
+    x0 = spec.x0 if x0 is None else x0
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (spec.dim,):

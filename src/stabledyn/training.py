@@ -47,8 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be None (full batch) or at least 1")
 

@@ -1,11 +1,15 @@
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from stabledyn.cli import main
-from stabledyn.systems import load_transitions
+from stabledyn.cli import build_parser, main
+from stabledyn.deterministic import StableModel
+from stabledyn.stochastic import StochasticModel
+from stabledyn.systems import generate_transitions, load_transitions
+from stabledyn.training import TrainConfig
 
 
 def _run(argv, capsys):
@@ -104,7 +108,8 @@ def test_train_rejects_nonconvex_v_for_convex_mode(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--batch-size", "-5"], ["--epochs", "0"],
-                                   ["--lr", "0"]])
+                                   ["--lr", "0"], ["--lr", "inf"],
+                                   ["--rootfind-tol", "inf"], ["--rootfind-tol", "nan"]])
 def test_train_refuses_settings_that_cannot_train(tmp_path, capsys, flags):
     data, _ = _gen(tmp_path, capsys)
     code, doc, out = _train(tmp_path, capsys, data, extra=flags)
@@ -118,6 +123,80 @@ def test_train_accepts_hyphenated_variant(tmp_path, capsys):
                             v="convex-lnn")
     assert code == 0
     assert json.loads(out.read_text())["variant"] == "convex_lnn"
+
+
+@pytest.mark.parametrize("model, flags, named", [
+    ("mdn-convex", ["--integrating"], "--integrating"),
+    ("convex", ["--k", "5"], "--k"),
+    ("convex", ["--sigma-cap", "3"], "--sigma-cap"),
+], ids=["mdn-integrating", "deterministic-k", "deterministic-sigma-cap"])
+def test_train_refuses_settings_the_model_kind_never_reads(tmp_path, capsys, model,
+                                                           flags, named):
+    data, _ = _gen(tmp_path, capsys)
+    out = tmp_path / "m.json"
+    code = main(["train", "--model", model, "--data", str(data), "--out", str(out),
+                 "--epochs", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and not out.exists()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "m.report.json").exists()
+
+
+@pytest.mark.parametrize("model, cls, mode", [
+    ("implicit", StableModel, "implicit"),
+    ("mdn-convex", StochasticModel, "convex"),
+])
+def test_train_settings_left_out_take_the_class_defaults(tmp_path, capsys, model, cls,
+                                                          mode):
+    data, _ = _gen(tmp_path, capsys)
+    out = tmp_path / "m.json"
+    code, _ = _run(["train", "--model", model, "--data", str(data), "--out", str(out),
+                    "--epochs", "1"], capsys)
+    assert code == 0
+    saved = json.loads(out.read_text())
+    want = asdict(cls(mode, 2, "icnn"))
+    assert {k: saved[k] for k in want} == json.loads(json.dumps(want))
+
+
+def test_train_flags_name_settings_by_field():
+    # settings pass through by field name, so a renamed field must not leave
+    # its flag parsed and silently dropped
+    _, commands = build_parser()
+    settings = {f.name for cls in (StableModel, StochasticModel, TrainConfig)
+                for f in fields(cls)}
+    dests = {a.dest for a in commands["train"]._actions} - {"help", "model", "v", "data",
+                                                             "out", "config"}
+    assert dests and dests <= settings
+
+
+@pytest.mark.parametrize("system", ["sde", "lorenz"])
+def test_gen_defaults_are_the_library_defaults(tmp_path, capsys, system):
+    out = tmp_path / "d.csv"
+    code, doc = _run(["gen", "--system", system, "--out", str(out)], capsys)
+    X, Y, meta = generate_transitions(system)
+    assert code == 0 and doc["steps"] == meta["steps"]
+    X2, Y2, meta2 = load_transitions(out)
+    assert np.array_equal(X, X2) and np.array_equal(Y, Y2) and meta == meta2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("rollout --model-file {model} --x0 nan,1 --out {out}", "--x0"),
+    ("gen --system saturated --x0 inf,0 --out {out}", "--x0"),
+    ("gen --system saturated --grid=-6,inf,3 --out {out}", "--grid"),
+    ("lyap-solve --a nan", "--a"),
+    ("lyap-solve --a 0.9 --b nan", "--b"),
+    ("lyap-solve --a 0.9 --q inf", "--q"),
+], ids=["rollout-x0", "gen-x0", "gen-grid", "lyap-a", "lyap-b", "lyap-q"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv, flag):
+    paths = {"out": tmp_path / "out.csv"}
+    if "{model}" in argv:
+        data, _ = _gen(tmp_path, capsys)
+        paths["model"] = _train(tmp_path, capsys, data)[2]
+    code = main(argv.format(**paths).split())
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert flag in captured.err and "finite" in captured.err
+    assert not paths["out"].exists()
 
 
 def test_rollout_deterministic_csv(tmp_path, capsys):

@@ -50,6 +50,13 @@ def test_mode_validation():
         make_model("implicit", 2, "lnn", beta=1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_rootfind_tol_is_refused(value):
+    # such a tolerance accepts every gamma, so the step would certify nothing
+    with pytest.raises(ValueError, match="rootfind_tol"):
+        make_model("implicit", 2, "icnn", rootfind_tol=value)
+
+
 def test_prediction_at_the_floor_is_left_alone():
     # x = 0 makes the decrease test V(y) > 0 fire for any nonzero y, but a
     # prediction this close to the origin is exempted by the guard

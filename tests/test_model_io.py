@@ -159,6 +159,16 @@ def test_missing_setting_rejected(tmp_path):
         load_model(p)
 
 
+def test_non_finite_tolerance_in_a_file_is_refused(tmp_path):
+    # json writes and reads Infinity; a model built from it would certify
+    # nothing, and its audit would count no violation either
+    p, doc = _saved_doc(tmp_path)
+    p.write_text(json.dumps(dict(doc, rootfind_tol=float("inf"))))
+    assert "Infinity" in p.read_text()
+    with pytest.raises(ValueError, match="rootfind_tol"):
+        load_model(p)
+
+
 def test_extra_parameter_rejected(tmp_path):
     p, doc = _saved_doc(tmp_path)
     doc["params"]["V.W2"] = [[0.5, 0.5]]

@@ -39,6 +39,14 @@ def test_construction_contracts():
         make_stochastic_model("implicit", 2, "icnn", backward_route="typo")
 
 
+@pytest.mark.parametrize("setting", ["sigma_cap", "rootfind_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_caps_are_refused(setting, value):
+    # a NaN or infinite cap bounds nothing, yet passes a plain "<= 0" test
+    with pytest.raises(ValueError, match=setting):
+        make_stochastic_model("implicit", 2, "icnn", **{setting: value})
+
+
 def test_trunk_and_coeff_shapes():
     model, store = _fresh("convex", "icnn", k=3)
     assert model.trunk.layer_dims == [2, 25, 25, 12]
@@ -105,7 +113,6 @@ def test_stabilized_invariants(mode, variant):
         v_mu = model.lyap.value(out.mu_mix, store)
         assert np.all(v_mu <= model.beta * v_x + model.rootfind_tol + 1e-12)
         assert np.all(out.sigma ** 2 <= model.sigma_cap * v_mu[:, None, None] + 1e-12)
-        assert out.max_var <= model.sigma_cap * v_mu.max() + 1e-12
         interventions += int(out.intervened.sum())
     assert interventions > 20
 
@@ -144,7 +151,6 @@ def test_recorded_forward_matches_raw_forward(mode, variant, route):
     rec = mdn_forward(model, store, X, Tape())
     for name in ("pi", "mu", "sigma", "mu_mix"):
         assert np.array_equal(getattr(raw, name), ad.value_of(getattr(rec, name))), name
-    assert raw.max_var == rec.max_var
     if mode == "none":
         assert rec.gamma is None and rec.intervened is None
     else:

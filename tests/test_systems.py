@@ -163,6 +163,12 @@ def test_unstable_map_has_no_certificate():
         solve_discrete_lyapunov(np.array([[0.9]]), 0.5, np.array([[1.0]]))
 
 
+def test_nan_map_has_no_certificate():
+    # P = [[nan]] fails no "<= 0" test, yet certifies nothing
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_discrete_lyapunov(np.array([[np.nan]]), 0.0, np.eye(1))
+
+
 def test_misshaped_matrices_are_refused_by_name():
     I2 = np.eye(2)
     for args, name in (((np.array([[0.9, 1.0]]), 0.0, np.eye(1)), "A"),

@@ -34,7 +34,8 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 @pytest.mark.parametrize("bad", [dict(epochs=0), dict(lr=0.0), dict(lr=float("nan")),
-                                 dict(batch_size=0), dict(batch_size=-5)])
+                                 dict(batch_size=0), dict(batch_size=-5),
+                                 dict(lr=float("inf"))])
 def test_train_config_refuses_settings_that_cannot_train(bad):
     # epochs=0 would leave no loss to report, batch_size<1 would run no batch
     with pytest.raises(ValueError):
