@@ -21,16 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ParamStore, grad_check
-from .deterministic import MODES, RootFindError, StableModel, rollout, step_expr
+from .deterministic import MODES, RootFindError, StableModel, rollout
 from .lyapunov import VARIANTS
 from .model_io import load_model, save_model
-from .stochastic import STAB_MODES, StochasticModel, mdn_forward, mdn_nll, stochastic_rollout
+from .stochastic import STAB_MODES, StochasticModel, stochastic_rollout
 from .systems import (SYSTEMS, generate_transitions, load_transitions, save_transitions,
                       solve_discrete_lyapunov)
-from .training import (TrainConfig, evaluate_mse, evaluate_nll,
-                       evaluate_violations, train)
+from .training import (TrainConfig, evaluate_mse, evaluate_nll, evaluate_violations,
+                       metric_of, objective, train)
 
 # train's flags that are not settings of the model or of TrainConfig
 TRAIN_IO = ("command", "config", "model", "v", "data", "out")
@@ -85,7 +84,7 @@ def build_parser():
         return p
 
     p = add("gen", "simulate a reference system into a transition CSV")
-    p.add_argument("--system", required=True, choices=(*SYSTEMS, "linear-stoch"))
+    p.add_argument("--system", required=True, choices=SYSTEMS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None,
@@ -96,7 +95,7 @@ def build_parser():
                    help="single trajectory from this comma-separated start instead")
     p.add_argument("--h", type=float, default=None, help="override the step size")
     p.add_argument("--b", type=float, default=None,
-                   help="noise gain of the linear map (default 0.1 for linear-stoch)")
+                   help="noise gain of a linear map (default: the system's own)")
 
     p = add("train", "fit a model to transition data")
     p.add_argument("--model", required=True,
@@ -119,7 +118,6 @@ def build_parser():
     p.add_argument("--rootfind-tol", type=float)
     p.add_argument("--hidden-f", type=_parse_hidden)
     p.add_argument("--hidden-v", type=_parse_hidden)
-    p.add_argument("--activation", choices=["tanh", "relu", "smooth_relu"])
     p.add_argument("--verbose", action="store_true")
 
     p = add("rollout", "iterate a saved model and write the trajectory CSV")
@@ -209,25 +207,21 @@ def _apply_config(parser, commands, argv):
 # subcommand bodies
 
 def _cmd_gen(args) -> int:
-    system = args.system
-    name = "linear" if system == "linear-stoch" else system
-    spec = SYSTEMS[name]
+    spec = SYSTEMS[args.system]
     if args.x0 is not None and args.grid is not None:
         raise ValueError("give either --grid or --x0, not both")
-    # a system with a fixed start runs one trajectory, only the linear map
-    # has a noise gain, and a system with no step size reads none
+    # a system with a fixed start runs one trajectory, only a linear map has
+    # a noise gain, and a system with no step size reads none
     for flag, value, unread in (("--grid", args.grid, spec.x0 is not None),
-                                ("--b", args.b, name != "linear"),
+                                ("--b", args.b, spec.b is None),
                                 ("--h", args.h, not spec.h)):
         if value is not None and unread:
-            raise ValueError(f"{flag} is not read by the {system} system")
+            raise ValueError(f"{flag} is not read by the {args.system} system")
     given = {k: v for k, v in vars(args).items()
              if v is not None and k in ("seed", "steps", "x0", "h", "b")}
-    if system == "linear-stoch":
-        given.setdefault("b", 0.1)
-    X, Y, meta = generate_transitions(name, **given, **(args.grid or {}))
+    X, Y, meta = generate_transitions(args.system, **given, **(args.grid or {}))
     save_transitions(args.out, X, Y, meta)
-    _emit({"path": args.out, "rows": int(X.shape[0]), "system": system,
+    _emit({"path": args.out, "rows": int(X.shape[0]), "system": args.system,
            "steps": meta["steps"]})
     return 0
 
@@ -310,20 +304,11 @@ def _load_scored(args):
 
 def _cmd_eval(args) -> int:
     model, store, X, Y = _load_scored(args)
-    is_mdn = isinstance(model, StochasticModel)
-    metric = args.metric
-    if metric == "auto":
-        metric = "nll" if is_mdn else "mse"
-    if metric == "mse":
-        if is_mdn:
-            raise ValueError("mse scores a deterministic model")
-        value = evaluate_mse(model, store, X, Y)
-    elif metric == "nll":
-        if not is_mdn:
-            raise ValueError("nll scores a mixture model")
-        value = evaluate_nll(model, store, X, Y)
-    else:
+    metric = metric_of(model) if args.metric == "auto" else args.metric
+    if metric == "v-violations":
         value = evaluate_violations(model, store, X)
+    else:
+        value = (evaluate_mse if metric == "mse" else evaluate_nll)(model, store, X, Y)
     _emit({"metric": metric, "value": value, "rows": int(X.shape[0])})
     return 0
 
@@ -356,12 +341,8 @@ def _cmd_gradcheck(args) -> int:
     model.rootfind_tol = 1e-12
 
     def loss(params, tape):
-        if isinstance(model, StochasticModel):
-            value = mdn_nll(mdn_forward(model, params, X, tape), Y)
-        else:
-            diff = ad.sub(step_expr(model, params, tape, X), Y)
-            value = ad.mean(ad.mul(diff, diff))
-        return value if tape is not None else float(ad.value_of(value))
+        value = objective(model, params, tape, X, Y)[1]
+        return value if tape is not None else float(value)
 
     report = grad_check(loss, store, h=args.h)
     ok = bool(report.max_rel_err <= args.threshold)

@@ -84,7 +84,6 @@ class Certified:
     _: KW_ONLY
     hidden_f: tuple = (25, 25)
     hidden_v: tuple = (25, 25)
-    activation: str = "tanh"
     beta: float = 0.99
     rootfind_tol: float = 1e-3
     backward_route: str = "fixed_point"
@@ -104,8 +103,7 @@ class Certified:
         self.lyap = LyapunovNet(self.variant, self.dim, self.hidden_v)
 
     def _mlp(self, prefix: str, out_dim: int) -> Mlp:
-        return Mlp(layer_dims=[self.dim, *self.hidden_f, out_dim],
-                   activation=self.activation, prefix=prefix)
+        return Mlp(layer_dims=[self.dim, *self.hidden_f, out_dim], prefix=prefix)
 
     def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
         for net in self.nets:

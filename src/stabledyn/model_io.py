@@ -25,7 +25,8 @@ KINDS = {"deterministic": StableModel, "mdn": StochasticModel}
 
 # older files record these settings, which are now fixed; a file holding the
 # fixed value loads, any other value is refused
-FIXED = {"max_newton": MAX_NEWTON, "max_bisect": MAX_BISECT, "epsilon": EPSILON, "d": D}
+FIXED = {"max_newton": MAX_NEWTON, "max_bisect": MAX_BISECT, "epsilon": EPSILON, "d": D,
+         "activation": "tanh"}
 
 
 def save_model(path, model, store: ParamStore) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-ACTIVATIONS = ("identity", "relu", "smooth_relu", "tanh")
+ACTIVATIONS = ("identity", "smooth_relu", "tanh")
 
 # smooth_relu's knot: quadratic on [0, D], linear past it
 D = 0.1
@@ -21,8 +21,6 @@ D = 0.1
 def apply_activation(name: str, u):
     if name == "identity":
         return u
-    if name == "relu":
-        return ad.relu(u)
     if name == "smooth_relu":
         return ad.smooth_relu(u, D)
     if name == "tanh":

@@ -4,7 +4,8 @@ Everything downstream trains on transition pairs (x_t, x_{t+1}). The systems
 here produce them:
 
 * "linear"      discrete map x' = A x + b x w, w ~ N(0,1), A a spiral-free
-                Jordan-type matrix; b = 0 gives the noiseless version
+                Jordan-type matrix; its own gain b = 0 gives the noiseless version
+* "linear-stoch" the same map with its own gain b = 0.1
 * "saturated"   damped pendulum-like ODE with a saturated input, RK4
 * "sde"         two-dimensional stochastic differential equation with a
                 radial drift and state-dependent diagonal noise, integrated
@@ -99,10 +100,12 @@ class SystemSpec:
     h: float           # step size where a scheme applies, else 0
     steps: int = 40    # default trajectory length
     x0: tuple | None = None    # the one start of a system run without a grid
+    b: float | None = None     # the linear map's noise gain; None: reads no gain
 
 
 SYSTEMS = {
-    "linear": SystemSpec(2, 0.0),
+    "linear": SystemSpec(2, 0.0, b=0.0),
+    "linear-stoch": SystemSpec(2, 0.0, b=0.1),
     "saturated": SystemSpec(2, 0.1),
     "sde": SystemSpec(2, 0.05, steps=10),
     "lorenz": SystemSpec(3, 0.01, steps=3000, x0=(1.0, 1.0, 1.0)),
@@ -110,11 +113,12 @@ SYSTEMS = {
 
 
 def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None,
-                h: float | None = None, b: float = 0.0) -> np.ndarray:
+                h: float | None = None, b: float | None = None) -> np.ndarray:
+    """One step of a system; h and b left as None take the system's own."""
     spec = SYSTEMS[name]
     hh = spec.h if h is None else h
-    if name == "linear":
-        return linear_step(x, rng, b)
+    if spec.b is not None:
+        return linear_step(x, rng, spec.b if b is None else b)
     if name == "saturated":
         return rk4_step(saturated_rhs, x, hh)
     if name == "sde":
@@ -125,9 +129,13 @@ def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None
 
 
 def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
-             h: float | None = None, b: float = 0.0) -> np.ndarray:
+             h: float | None = None, b: float | None = None) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    if h is not None and not 0.0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    if b is not None and not np.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     rng = None if seed is None else np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
     traj = np.empty((steps + 1, x.size))
@@ -182,15 +190,15 @@ def grid_starts(lo: float, hi: float, points: int, dim: int = 2) -> np.ndarray:
 
 def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
                          lo: float = -6.0, hi: float = 6.0, grid_points: int = 14,
-                         h: float | None = None, b: float = 0.0,
+                         h: float | None = None, b: float | None = None,
                          x0=None):
     """Transition pairs for a system, plus the metadata that reproduces them.
 
-    steps defaults to the system's own trajectory length (SYSTEMS[system]
-    .steps: 40, but 10 for sde and 3000 for lorenz). Grid systems run one
-    trajectory per grid start; trajectory i uses seed seed+i. An explicit x0
-    replaces the grid with a single trajectory from that state; a system
-    with a fixed start (lorenz, from (1, 1, 1)) always runs one.
+    steps, h and b left as None take the system's own (SYSTEMS[system]): 40
+    steps, but 10 for sde and 3000 for lorenz; b, recorded for the linear
+    maps only, 0 for "linear" and 0.1 for "linear-stoch". Trajectory i runs
+    from start i with seed seed+i: grid_points per axis over [lo, hi]^dim,
+    or the one start x0 (lorenz always runs from its own, (1, 1, 1)).
     """
     spec = SYSTEMS[system]
     steps = spec.steps if steps is None else steps
@@ -198,26 +206,24 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
         raise ValueError(f"steps must be at least 1, got {steps}")
     meta = {"system": system, "h": spec.h if h is None else h, "seed": seed,
             "grid": None, "steps": steps}
-    if system == "linear":
-        meta["b"] = b
+    if spec.b is not None:
+        meta["b"] = spec.b if b is None else b
     x0 = spec.x0 if x0 is None else x0
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (spec.dim,):
             raise ValueError(f"{system} starts need {spec.dim} coordinates")
         meta["x0"] = x0.tolist()
-        traj = simulate(system, x0, steps, seed=seed, h=h, b=b)
-        X, Y = traj[:-1], traj[1:]
+        starts = x0[None]
     else:
+        if grid_points < 1:
+            raise ValueError(f"grid_points must be at least 1, got {grid_points}")
         meta["grid"] = {"lo": lo, "hi": hi, "points": grid_points}
         starts = grid_starts(lo, hi, grid_points, spec.dim)
-        xs, ys = [], []
-        for i, s in enumerate(starts):
-            traj = simulate(system, s, steps, seed=seed + i, h=h, b=b)
-            xs.append(traj[:-1])
-            ys.append(traj[1:])
-        X = np.concatenate(xs, axis=0)
-        Y = np.concatenate(ys, axis=0)
+    trajs = [simulate(system, s, steps, seed=seed + i, h=h, b=b)
+             for i, s in enumerate(starts)]
+    X = np.concatenate([t[:-1] for t in trajs], axis=0)
+    Y = np.concatenate([t[1:] for t in trajs], axis=0)
     return X, Y, meta
 
 

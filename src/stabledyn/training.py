@@ -5,14 +5,13 @@ zero the gradients, repeat. The loop also counts certificate violations on
 the raw predictions as it goes; for the scaling modes that count staying at
 zero is the whole point.
 
-Deterministic models in implicit mode fit the free prediction y = fhat(x)
-as well as the certified step. Where the step intervenes it returns the
-point gamma(y)*y on the level set V = beta*V(x), the same point for every
-positive scaling of y, so the certified loss alone has no gradient along y
-and an overshooting fhat is never pulled back. The extra term is the plain
-MSE of y against the target; the certified step used at inference is
-unchanged, and the reported losses stay the MSE of the certified step, as
-in every other mode.
+`objective` scores a batch for training, evaluation and gradient checks
+alike: a mixture's NLL, or the MSE of a deterministic model's certified
+step. In implicit mode it also minimises the MSE of the free prediction
+y = fhat(x). Where the step intervenes it returns the point gamma(y)*y on
+the level set V = beta*V(x), the same point for every positive scaling of
+y, so the certified loss alone has no gradient along y and an overshooting
+fhat is never pulled back. That term is never reported.
 """
 
 from __future__ import annotations
@@ -93,22 +92,31 @@ def _batches(n: int, batch_size: int | None, rng):
         yield order[i:i + batch_size]
 
 
+def objective(model, store: ad.ParamStore, tape: ad.Tape | None, X, Y):
+    """(loss minimised, loss reported, certified prediction) for one batch.
+
+    With tape None it runs raw; the prediction is always a raw array.
+    """
+    if isinstance(model, StochasticModel):
+        out = mdn_forward(model, store, X, tape)
+        loss = mdn_nll(out, Y)
+        return loss, loss, ad.value_of(out.mu_mix)
+    pred, free = step_expr(model, store, tape, X, return_free=True)
+    reported = loss = _mse(pred, Y)
+    if model.mode == "implicit":
+        loss = ad.add(loss, _mse(free, Y))
+    return loss, reported, ad.value_of(pred)
+
+
 def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
           config: TrainConfig | None = None) -> TrainReport:
-    """Fit either model kind to transition pairs; dispatches on the type.
-
-    Mixtures minimise the NLL, deterministic models the MSE of the certified
-    step. In implicit mode the MSE of the free prediction fhat(x) is added,
-    unweighted, because the certified step gives no gradient along fhat's
-    own ray once it intervenes (see the module docstring). The reported
-    losses are the NLL or the certified MSE alone, whatever is optimised.
-    """
+    """Fit either model kind to transition pairs by minimising `objective`;
+    the losses are its reported loss, the NLL or the certified MSE."""
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape != Y.shape or X.ndim != 2:
         raise ValueError("X and Y must be matching (samples, dim) arrays")
-    is_mdn = isinstance(model, StochasticModel)
     rng = np.random.default_rng(config.seed)
     state = AdamState(store)
     store.zero_grads()
@@ -121,22 +129,13 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
         for sel in _batches(X.shape[0], config.batch_size, rng):
             xb, yb = X[sel], Y[sel]
             tape = ad.Tape()
-            if is_mdn:
-                out = mdn_forward(model, store, xb, tape)
-                reported = loss = mdn_nll(out, yb)
-                pred = ad.value_of(out.mu_mix)
-            else:
-                pred_expr, free = step_expr(model, store, tape, xb, return_free=True)
-                reported = loss = _mse(pred_expr, yb)
-                if model.mode == "implicit":
-                    loss = ad.add(loss, _mse(free, yb))
-                pred = ad.value_of(pred_expr)
+            loss, reported, pred = objective(model, store, tape, xb, yb)
             lv = float(ad.value_of(reported))
             if not np.isfinite(ad.value_of(loss)):
                 raise FloatingPointError(f"loss diverged at epoch {epoch}")
             # certificate check against the V that produced this prediction,
             # so it must run before the parameters move
-            violations += _count_violations(model, store, xb, pred, is_mdn)
+            violations += _count_violations(model, store, xb, pred)
             tape.backward(loss)
             adam_step(store, state, config.lr)
             model.lyap.clamp(store)
@@ -155,13 +154,13 @@ def _mse(pred, target):
     return ad.mean(ad.mul(diff, diff))
 
 
-def _count_violations(model, store, xb, pred, is_mdn: bool) -> int:
+def _count_violations(model, store, xb, pred) -> int:
     """Certificate breaches on this batch, measured on raw values."""
     slack = 1e-9
     if model.mode == "none":
         return 0
     v_x = model.lyap.value(xb, store)
-    if not is_mdn and model.mode == "projection":
+    if model.mode == "projection":
         gv = model.lyap.grad(xb, store)
         ascent = (gv * (pred - xb)).sum(axis=-1)
         return int((ascent > slack).sum())
@@ -170,10 +169,22 @@ def _count_violations(model, store, xb, pred, is_mdn: bool) -> int:
     return int((v_p > bound).sum())
 
 
+def metric_of(model) -> str:
+    """The loss `objective` reports: "nll" for a mixture, else "mse"."""
+    return "nll" if isinstance(model, StochasticModel) else "mse"
+
+
+def _evaluate(metric: str, model, store: ad.ParamStore, X, Y) -> float:
+    if metric_of(model) != metric:
+        raise ValueError(f"{metric} does not score a {type(model).__name__}; "
+                         f"use {metric_of(model)}")
+    return float(objective(model, store, None, X, Y)[1])
+
+
 def evaluate_mse(model: StableModel, store: ad.ParamStore,
                  X: np.ndarray, Y: np.ndarray) -> float:
-    pred = model_step(model, store, np.asarray(X, dtype=np.float64))
-    return float(np.mean((pred - np.asarray(Y)) ** 2))
+    """MSE of a deterministic model's certified step; a mixture is refused."""
+    return _evaluate("mse", model, store, X, Y)
 
 
 def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
@@ -181,10 +192,10 @@ def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
     X = np.asarray(X, dtype=np.float64)
     is_mdn = isinstance(model, StochasticModel)
     pred = mdn_forward(model, store, X).mu_mix if is_mdn else model_step(model, store, X)
-    return _count_violations(model, store, X, pred, is_mdn)
+    return _count_violations(model, store, X, pred)
 
 
 def evaluate_nll(model: StochasticModel, store: ad.ParamStore,
                  X: np.ndarray, Y: np.ndarray) -> float:
-    out = mdn_forward(model, store, np.asarray(X, dtype=np.float64))
-    return float(ad.value_of(mdn_nll(out, np.asarray(Y, dtype=np.float64))))
+    """Mean NLL of a mixture model; a deterministic model is refused."""
+    return _evaluate("nll", model, store, X, Y)

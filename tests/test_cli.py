@@ -87,6 +87,21 @@ def test_gen_refuses_flags_the_system_never_reads(tmp_path, capsys, system, flag
     assert not out.exists() and not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--system", "saturated", "--h", "nan"], "h"),
+    (["--system", "saturated", "--h", "0"], "h"),
+    (["--system", "saturated", "--h=-0.1"], "h"),
+    (["--system", "linear", "--b", "inf"], "b"),
+], ids=["h-nan", "h-zero", "h-negative", "b-inf"])
+def test_gen_refuses_a_step_or_gain_that_cannot_simulate(tmp_path, capsys, flags, name):
+    out = tmp_path / "d.csv"
+    code = main(["gen", *flags, "--grid=-6,6,2", "--steps", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert f"{name} must be" in captured.err and "Traceback" not in captured.err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_train_writes_model_and_report(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     code, doc, out = _train(tmp_path, capsys, data)
@@ -389,11 +404,14 @@ def test_config_supplies_required_flags_and_switches(tmp_path, capsys):
 @pytest.mark.parametrize("argv, name", [
     ("gen --system saturated --out {out} --steps -1", "steps"),
     ("gen --system saturated --out {out} --steps 0", "steps"),
+    ("gen --system saturated --out {out} --grid=-6,6,0", "grid_points"),
+    ("gen --system saturated --out {out} --grid=-6,6,-3", "grid_points"),
     ("train --model convex --data {empty} --out {out}", "empty.csv"),
     ("rollout --model-file {model} --x0 1,1 --steps -2 --out {out}", "steps"),
     ("rollout --model-file {mdn} --x0 1,1 --samples -1 --out {out}", "paths"),
     ("gradcheck --model-file {model} --data {data} --batch 0", "--batch"),
-], ids=["gen-steps-negative", "gen-steps-zero", "train-no-rows",
+], ids=["gen-steps-negative", "gen-steps-zero", "gen-grid-zero", "gen-grid-negative",
+        "train-no-rows",
         "rollout-steps", "rollout-samples", "gradcheck-batch"])
 def test_counts_out_of_range_are_refused_by_name(tmp_path, capsys, argv, name):
     data, _ = _gen(tmp_path, capsys)

@@ -14,7 +14,7 @@ from stabledyn.training import TrainConfig, train
 def test_deterministic_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     model = make_model("implicit", 2, "icnn", hidden_f=(9, 7), hidden_v=(6, 5),
-                       activation="relu", beta=0.95, rootfind_tol=1e-4)
+                       beta=0.95, rootfind_tol=1e-4)
     store = ParamStore()
     model.init_params(store, rng)
     p = tmp_path / "m.json"
@@ -27,7 +27,7 @@ def test_deterministic_round_trip_is_bit_exact(tmp_path):
     assert (m2.mode, m2.beta, m2.rootfind_tol) == ("implicit", 0.95, 1e-4)
     assert m2.lyap.variant == "icnn" and m2.lyap.hidden == (6, 5)
     assert m2.fhat.layer_dims == model.fhat.layer_dims
-    assert m2.fhat.activation == "relu"
+    assert m2.fhat.activation == "tanh"
 
     X = np.random.default_rng(1).uniform(-5, 5, size=(8, 2))
     assert np.array_equal(model_step(model, store, X), model_step(m2, s2, X))
@@ -68,10 +68,10 @@ def test_stochastic_round_trip(tmp_path):
 
 @pytest.mark.parametrize("model", [
     make_model("projection", 3, "convex_lnn", hidden_f=(7, 4), hidden_v=(6, 5),
-               activation="smooth_relu", beta=0.9, rootfind_tol=1e-5,
+               beta=0.9, rootfind_tol=1e-5,
                backward_route="direct", integrating=True),
     make_stochastic_model("implicit", 2, "icnn", hidden_f=(6,), hidden_v=(5, 4),
-                          activation="relu", beta=0.8, rootfind_tol=1e-6,
+                          beta=0.8, rootfind_tol=1e-6,
                           backward_route="direct", k=3, sigma_cap=0.25),
 ], ids=["deterministic", "mdn"])
 def test_every_setting_survives_the_trip(tmp_path, model):
@@ -201,12 +201,13 @@ def test_solver_budgets_from_older_files(tmp_path):
     p.write_text(json.dumps(doc))
     m2, _ = load_model(p)
     assert not hasattr(m2, "max_newton") and not hasattr(m2, "max_bisect")
-    # the quadratic floor's weight and the smooth_relu knot are constants too
-    doc.update(epsilon=0.001, d=0.1)
+    # the quadratic floor's weight, the smooth_relu knot and the activation
+    # of fhat, trunk and coeff are constants too
+    doc.update(epsilon=0.001, d=0.1, activation="tanh")
     p.write_text(json.dumps(doc))
     load_model(p)
     for key, value in (("max_newton", 20), ("max_bisect", 100), ("epsilon", 0.002),
-                       ("d", 0.2)):
+                       ("d", 0.2), ("activation", "relu")):
         other = dict(doc, **{key: value})
         p.write_text(json.dumps(other))
         with pytest.raises(ValueError, match=key):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import stabledyn
 from stabledyn.cli import _preprocess, build_parser
+from stabledyn.systems import SYSTEMS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,9 @@ def test_cli_examples_parse():
     for line in commands:
         args = parser.parse_args(_preprocess(shlex.split(line)[1:]))
         assert args.command == line.split()[1]
+
+
+def test_reference_systems_list_the_library_table():
+    line = next(ln for ln in README.read_text().splitlines()
+                if ln.startswith("Reference systems:"))
+    assert re.findall(r"`([^`]+)`", line) == list(SYSTEMS)

@@ -222,3 +222,28 @@ def test_saved_transitions_round_trip_bit_exactly(tmp_path):
     assert np.array_equal(X, X2)
     assert np.array_equal(Y, Y2)
     assert meta2 == meta
+
+
+def test_linear_stoch_is_the_linear_map_with_its_own_gain():
+    X, Y, meta = generate_transitions("linear-stoch", seed=4, steps=5, grid_points=3)
+    X2, Y2, meta2 = generate_transitions("linear", seed=4, steps=5, grid_points=3, b=0.1)
+    assert np.array_equal(X, X2) and np.array_equal(Y, Y2)
+    assert meta["b"] == 0.1 and meta == {**meta2, "system": "linear-stoch"}
+    assert generate_transitions("linear", steps=2, grid_points=2)[2]["b"] == 0.0
+
+
+@pytest.mark.parametrize("system, kw", [
+    ("saturated", dict(h=float("nan"))), ("saturated", dict(h=0.0)),
+    ("saturated", dict(h=-0.1)), ("saturated", dict(h=float("inf"))),
+    ("linear", dict(b=float("inf"))), ("linear", dict(b=float("nan"))),
+], ids=["h-nan", "h-zero", "h-negative", "h-inf", "b-inf", "b-nan"])
+def test_simulate_refuses_a_step_or_gain_that_cannot_simulate(system, kw):
+    (name,) = kw
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        simulate(system, np.ones(2), 3, seed=0, **kw)
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_grid_count_below_one_is_refused_by_name(points):
+    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+        generate_transitions("saturated", steps=2, grid_points=points)

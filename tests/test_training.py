@@ -174,3 +174,33 @@ def test_baseline_mdn_counts_no_violations():
     model.init_params(store, np.random.default_rng(6))
     report = train(model, store, X, Y, TrainConfig(epochs=5))
     assert report.violations == 0
+
+
+def _small_pair():
+    rng = np.random.default_rng(7)
+    det = make_model("implicit", 2, "lnn", hidden_f=(6,), hidden_v=(5,))
+    mix = make_stochastic_model("convex", 2, "icnn", k=2, hidden_f=(6,), hidden_v=(5,))
+    stores = []
+    for model in (det, mix):
+        stores.append(ParamStore())
+        model.init_params(stores[-1], rng)
+    return (det, stores[0]), (mix, stores[1])
+
+
+def test_evaluate_refuses_the_other_model_kind():
+    X, Y = _linear_data(12)
+    (det, det_store), (mix, mix_store) = _small_pair()
+    with pytest.raises(ValueError, match="nll does not score a StableModel"):
+        evaluate_nll(det, det_store, X, Y)
+    with pytest.raises(ValueError, match="mse does not score a StochasticModel"):
+        evaluate_mse(mix, mix_store, X, Y)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "mixture"])
+def test_objective_reports_what_train_reports(kind):
+    # one full-batch epoch reports the loss at the initial weights
+    X, Y = _linear_data(40)
+    model, store = _small_pair()[kind == "mixture"]
+    reported = training.objective(model, store, None, X, Y)[1]
+    report = train(model, store, X, Y, TrainConfig(epochs=1))
+    assert report.losses[0] == reported
