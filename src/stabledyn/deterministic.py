@@ -354,10 +354,13 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
 
     Returns trajectory of shape (steps+1, n) or (B, steps+1, n); with
     record_v also the V values along it, shape (steps+1,) or (B, steps+1).
+    A start that is not finite raises ValueError.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     X, single = as_batch(x0)
+    if not np.isfinite(X).all():
+        raise ValueError("x0 must be finite")
     B, n = X.shape
     traj = np.empty((B, steps + 1, n))
     traj[:, 0] = X

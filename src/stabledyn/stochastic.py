@@ -129,18 +129,21 @@ def mdn_nll(out: MdnOutput, y) -> object:
     return ad.neg(ad.mean(ad.logsumexp(comp_ll)))
 
 
+def _draw(out: MdnOutput, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """One next state from the mixture at each of out's first `rows` rows."""
+    pi, mu, sigma = out.pi[:rows], out.mu[:rows], out.sigma[:rows]
+    u = rng.random(rows)
+    comp = (u[:, None] > np.cumsum(pi, axis=-1)).sum(axis=-1)
+    comp = np.minimum(comp, pi.shape[-1] - 1)
+    r = np.arange(rows)
+    return mu[r, comp] + sigma[r, comp] * rng.standard_normal((rows, mu.shape[-1]))
+
+
 def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
                rng: np.random.Generator) -> np.ndarray:
     """Draw one next state per row."""
     X, single = as_batch(x)
-    out = mdn_forward(model, store, X)
-    pi, mu, sigma = out.pi, out.mu, out.sigma
-    B = X.shape[0]
-    u = rng.random(B)
-    comp = (u[:, None] > np.cumsum(pi, axis=-1)).sum(axis=-1)
-    comp = np.minimum(comp, model.k - 1)
-    rows = np.arange(B)
-    sample = mu[rows, comp] + sigma[rows, comp] * rng.standard_normal(X.shape)
+    sample = _draw(mdn_forward(model, store, X), X.shape[0], rng)
     return sample[0] if single else sample
 
 
@@ -157,7 +160,12 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
 
     Returns (samples, means): samples has shape (paths, steps+1, n) and is
     drawn from the mixture at each step; means has shape (steps+1, n) and
-    feeds the mixture mean back as the state with no sampling.
+    feeds the mixture mean back as the state with no sampling. Each step is
+    one mdn_forward on the paths' states with the mean path's state as the
+    last row, so the mean path agrees with iterating mdn_mean_step to
+    rounding, not bit for bit (a state's forward can change in its last bits
+    with the rows batched beside it). A start that is not finite raises
+    ValueError.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
@@ -166,15 +174,16 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise ValueError("x0 must be a single state")
-    cur = np.tile(x0, (paths, 1))
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
+    X = np.tile(x0, (paths + 1, 1))
     traj = np.empty((paths, steps + 1, x0.size))
-    traj[:, 0] = cur
+    traj[:, 0] = x0
     mean_traj = np.empty((steps + 1, x0.size))
     mean_traj[0] = x0
-    m = x0
     for t in range(steps):
-        cur = mdn_sample(model, store, cur, rng)
-        traj[:, t + 1] = cur
-        m = mdn_mean_step(model, store, m)
-        mean_traj[t + 1] = m
+        out = mdn_forward(model, store, X)
+        X = np.vstack([_draw(out, paths, rng), out.mu_mix[paths]])
+        traj[:, t + 1] = X[:paths]
+        mean_traj[t + 1] = X[paths]
     return traj, mean_traj

@@ -130,8 +130,15 @@ def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None
 
 def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
              h: float | None = None, b: float | None = None) -> np.ndarray:
+    """The trajectory of steps+1 states from x0; h and b left as None take the
+    system's own, and one the system never reads raises ValueError."""
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    spec = SYSTEMS[name]
+    if h is not None and not spec.h:
+        raise ValueError(f"h is not read by the {name} system")
+    if b is not None and spec.b is None:
+        raise ValueError(f"b is not read by the {name} system")
     if h is not None and not 0.0 < h < np.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     if b is not None and not np.isfinite(b):
@@ -196,7 +203,8 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
 
     steps, h and b left as None take the system's own (SYSTEMS[system]): 40
     steps, but 10 for sde and 3000 for lorenz; b, recorded for the linear
-    maps only, 0 for "linear" and 0.1 for "linear-stoch". Trajectory i runs
+    maps only, 0 for "linear" and 0.1 for "linear-stoch"; an h or b the
+    system never reads is refused, as simulate refuses it. Trajectory i runs
     from start i with seed seed+i: grid_points per axis over [lo, hi]^dim,
     or the one start x0 (lorenz always runs from its own, (1, 1, 1)).
     """

@@ -432,6 +432,16 @@ def test_rollout_shapes_and_v_trace():
     assert np.array_equal(traj[:, 0], batch)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rollout_refuses_a_non_finite_start(bad):
+    # a NaN start gives NaN states, and V(x) = inf switches the certificate off
+    model, store = _fresh("implicit", "icnn", seed=2)
+    with pytest.raises(ValueError, match="x0"):
+        rollout(model, store, np.array([bad, 1.0]), 5)
+    with pytest.raises(ValueError, match="x0"):
+        rollout(model, store, np.array([[0.5, 0.5], [bad, 1.0]]), 5)
+
+
 def test_origin_fixed_point_certified():
     # from exactly zero, a scaling model pins the state at zero
     model, store = _fresh("implicit", "lnn", seed=33)

@@ -198,7 +198,39 @@ def test_stochastic_rollout_shapes_and_mean_path():
     # the mean path is its own dynamical system: V decreases along it
     vs = model.lyap.value(means, store)
     assert np.all(vs[1:] <= model.beta * vs[:-1] + model.rootfind_tol + 1e-12)
-    assert np.array_equal(means[1], mdn_mean_step(model, store, np.array([4.0, -4.0])))
+    # each step is one forward on the paths' states, the mean path's state last
+    assert np.array_equal(
+        means[1], mdn_forward(model, store, np.vstack([traj[:, 0], means[:1]])).mu_mix[-1])
+    # mdn_mean_step evaluates a batch of one, and a state's forward can change
+    # in its last bits with the rows beside it (CHANGES.md, FOUND: V of a
+    # state depends on the batch it is evaluated in)
+    np.testing.assert_allclose(means[1], mdn_mean_step(model, store, np.array([4.0, -4.0])),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode,variant", [("implicit", "lnn"), ("convex", "icnn")])
+def test_stochastic_rollout_keeps_the_random_stream(mode, variant):
+    # the rollout draws as mdn_sample does, from the same generator in the same
+    # order, so stepping the public calls by hand reproduces it
+    model, store = _fresh(mode, variant, k=3, seed=21, push=10.0)
+    x0 = np.array([3.0, -2.0])
+    traj, means = stochastic_rollout(model, store, x0, 10, 4, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    cur, m = np.tile(x0, (4, 1)), x0
+    for t in range(10):
+        cur = mdn_sample(model, store, cur, rng)
+        m = mdn_mean_step(model, store, m)
+        np.testing.assert_allclose(traj[:, t + 1], cur, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means[t + 1], m, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stochastic_rollout_refuses_a_non_finite_start(bad):
+    # a NaN start gives NaN paths, and V(x) = inf switches the certificate off
+    model, store = _fresh("implicit", "lnn", seed=10)
+    with pytest.raises(ValueError, match="x0"):
+        stochastic_rollout(model, store, np.array([bad, 1.0]), 5, 2,
+                           np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("mode,variant", [("convex", "icnn"), ("implicit", "lnn")])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from stabledyn.systems import (LINEAR_A, generate_transitions, grid_starts,
-                               linear_step, load_transitions, lorenz_rhs,
+from stabledyn.systems import (LINEAR_A, SYSTEMS, generate_transitions,
+                               grid_starts, linear_step, load_transitions, lorenz_rhs,
                                rk4_step, saturated_rhs, save_transitions,
                                sde_diffusion, sde_drift, simulate,
                                solve_discrete_lyapunov, srk2_step, system_step)
@@ -241,6 +241,20 @@ def test_simulate_refuses_a_step_or_gain_that_cannot_simulate(system, kw):
     (name,) = kw
     with pytest.raises(ValueError, match=f"^{name} must be"):
         simulate(system, np.ones(2), 3, seed=0, **kw)
+
+
+@pytest.mark.parametrize("system, kw", [
+    ("saturated", dict(b=0.5)), ("lorenz", dict(b=0.0)), ("linear", dict(h=0.3)),
+    ("linear-stoch", dict(h=0.1)),
+], ids=["saturated-b", "lorenz-b", "linear-h", "linear-stoch-h"])
+def test_a_step_or_gain_the_system_never_reads_is_refused_by_name(system, kw):
+    # taken silently, it would equal the run without it and yet be recorded
+    (name,) = kw
+    dim = SYSTEMS[system].dim
+    with pytest.raises(ValueError, match=f"^{name} is not read by the {system} system"):
+        simulate(system, np.ones(dim), 3, seed=0, **kw)
+    with pytest.raises(ValueError, match=f"^{name} is not read"):
+        generate_transitions(system, steps=2, grid_points=2, **kw)
 
 
 @pytest.mark.parametrize("points", [0, -3])
