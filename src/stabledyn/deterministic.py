@@ -217,6 +217,15 @@ def as_batch(x):
     return x, False
 
 
+def refuse_non_finite(X):
+    """Raise ValueError naming the rows of the (batch, dim) states X that are
+    not finite: at NaN a certified step returns NaN, and at inf V(x) = inf
+    switches the certificate off, each with nothing flagged."""
+    if not np.isfinite(X).all():
+        rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        raise ValueError(f"a certified step needs finite states; rows {rows.tolist()} are not")
+
+
 def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y):
     """Row-wise scaling factors, 1.0 where V(y) <= beta*V(x) already holds.
 
@@ -286,11 +295,14 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
     """The certified next state for the prediction y = fhat(X), and its StepInfo.
 
     Built from the autodiff primitives: on raw arrays when tape is None, on
-    the tape otherwise. Rows left alone pass y through bit-exactly.
+    the tape otherwise. Rows left alone pass y through bit-exactly. A state
+    that is not finite raises ValueError, since V certifies nothing there;
+    mode "none" certifies nothing anyway and passes it through.
     """
     if model.mode == "none":
         out = ad.add(X, y) if model.integrating else y
         return out, StepInfo(intervened=np.zeros(X.shape[0], dtype=bool))
+    refuse_non_finite(X)
     if model.mode == "projection":
         return _projection(model, store, tape, X, y)
 

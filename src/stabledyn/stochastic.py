@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw)
+                            certified_gamma_raw, refuse_non_finite)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -74,11 +74,14 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
 
     In the stabilized model the scaled mixture mean is pushed below the
     decrease target beta*V(x) and every spread is tied to V at that scaled
-    mean, so the covariance shrinks together with the mean dynamics.
+    mean, so the covariance shrinks together with the mean dynamics. There a
+    state that is not finite raises ValueError; mode "none" passes it through.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("mdn_forward expects a (batch, dim) input")
+    if model.mode != "none":
+        refuse_non_finite(X)
     B, n = X.shape
     k = model.k
 

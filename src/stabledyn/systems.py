@@ -13,7 +13,8 @@ here produce them:
 * "lorenz"      the usual chaotic benchmark, RK4
 
 Trajectory i of a dataset uses the stream seed base+i, so any single
-trajectory can be regenerated without the rest.
+trajectory can be regenerated without the rest, although a grid's starts
+are all stepped together as one batch.
 """
 
 from __future__ import annotations
@@ -30,6 +31,49 @@ LINEAR_A = np.array([[0.9, 1.0], [0.0, 0.9]])
 
 # ---------------------------------------------------------------------------
 # integrators
+#
+# Every step and field works on the last axis, so one code path serves a
+# single state (n,) and a batch of states (S, n). Noise is drawn per row:
+# rng is one Generator for a single state, or a sequence of one per row.
+
+def _state(*coords):
+    """The state with these coordinates on its last axis: (n,) from numbers,
+    (S, n) from (S,) arrays; the inverse of x.T[i]. On a single state both
+    keep numpy scalars, whose arithmetic is several times cheaper than that
+    of the 0-d arrays x[..., i] gives, and np.array than np.stack."""
+    return np.array(coords).T
+
+
+def _matvec(M, v):
+    """M @ v over the last axes; each row rounds as a plain 2-D M @ v does,
+    which v @ M.T and einsum do not."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
+def _dot_self(x):
+    """x . x over the last axis, each row rounded as np.linalg.norm rounds
+    one state's; norm(axis=-1), (x*x).sum(-1) and hypot differ from it in
+    the last bit on some rows."""
+    return x.dot(x) if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+class _PerRow:
+    """A sequence of one Generator per row of a batch, drawn from as one
+    Generator: each draw stacks row i's draw from generator i, so every
+    row's stream runs as it would for that row alone."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def __getattr__(self, name):
+        draws = [getattr(g, name) for g in self.rngs]
+        return lambda *args, **kw: np.array([d(*args, **kw) for d in draws])
+
+
+def _generator(rng):
+    """rng itself when None or one Generator; a sequence as _PerRow."""
+    return rng if rng is None or isinstance(rng, np.random.Generator) else _PerRow(rng)
+
 
 def rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
     k1 = f(x)
@@ -39,59 +83,72 @@ def rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def srk2_step(drift, diffusion, x: np.ndarray, h: float,
-              rng: np.random.Generator) -> np.ndarray:
+def srk2_step(drift, diffusion, x: np.ndarray, h: float, rng) -> np.ndarray:
     """One step of a weak order-2 two-stage stochastic Runge-Kutta scheme.
 
-    diffusion(x) returns the (n, m) matrix of channel columns. Each channel
-    draws dW ~ N(0, h) and an independent sign S = +-1; the sign couples the
-    two stages so that Ito correction terms come out right on average.
+    x is one state (n,) with one Generator rng, or a batch (S, n) with one
+    Generator per row; diffusion(x) returns the (n, m) matrix of channel
+    columns, or (S, n, m) for a batch. Each channel draws dW ~ N(0, h) and
+    an independent sign S = +-1, in that order on each row's generator; the
+    sign couples the two stages so that Ito correction terms come out right
+    on average.
     """
-    m = diffusion(x).shape[1]
+    rng = _generator(rng)
+    g_x = diffusion(x)
+    m = g_x.shape[-1]
     dW = rng.normal(0.0, np.sqrt(h), size=m)
     S = rng.integers(0, 2, size=m) * 2.0 - 1.0
     sq = np.sqrt(h)
-    k1 = h * drift(x) + diffusion(x) @ (dW - S * sq)
+    k1 = h * drift(x) + _matvec(g_x, dW - S * sq)
     x1 = x + k1
-    k2 = h * drift(x1) + diffusion(x1) @ (dW + S * sq)
+    k2 = h * drift(x1) + _matvec(diffusion(x1), dW + S * sq)
     return x + 0.5 * (k1 + k2)
 
 
 # ---------------------------------------------------------------------------
 # the systems
 
-def linear_step(x: np.ndarray, rng: np.random.Generator | None, b: float = 0.0) -> np.ndarray:
-    out = LINEAR_A @ x
+def linear_step(x: np.ndarray, rng, b: float = 0.0) -> np.ndarray:
+    out = _matvec(LINEAR_A, x)
     if b != 0.0:
         if rng is None:
             raise ValueError("stochastic linear map needs a generator")
-        out = out + b * x * rng.standard_normal()
+        w = _generator(rng).standard_normal()   # one number per row
+        out = out + (b * x.T * w).T
     return out
 
 
 def saturated_rhs(x: np.ndarray) -> np.ndarray:
-    p, v = x
-    return np.array([v, -v - np.sin(p) - 2.0 * np.clip(p + v, -1.0, 1.0)])
+    xt = x.T
+    p, v = xt[0], xt[1]
+    return _state(v, -v - np.sin(p) - 2.0 * np.clip(p + v, -1.0, 1.0))
 
 
 def sde_drift(x: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(x)
-    if r < 1e-12:
-        return np.zeros_like(x)
-    s = 1.0 / np.sqrt(r)
-    return np.array([-x[0] * s - x[0] + x[1],
-                     -x[1] * s - (10.0 / 3.0) * x[1] + x[0]])
+    r = np.sqrt(_dot_self(x))
+    origin = r < 1e-12
+    s = 1.0 / np.sqrt(r + origin)   # r + 0 is r; origin rows are zeroed below
+    xt = x.T
+    x0, x1 = xt[0], xt[1]
+    out = _state(-x0 * s - x0 + x1, -x1 * s - (10.0 / 3.0) * x1 + x0)
+    if np.count_nonzero(origin):
+        out[origin] = 0.0
+    return out
 
 
 def sde_diffusion(x: np.ndarray) -> np.ndarray:
-    return np.diag([np.sin(x[0]), x[1]])
+    xt = x.T
+    d = np.zeros(x.shape + x.shape[-1:])
+    d[..., 0, 0] = np.sin(xt[0])
+    d[..., 1, 1] = xt[1]
+    return d
 
 
 def lorenz_rhs(x: np.ndarray, sigma: float = 10.0, rho: float = 28.0,
                b: float = 8.0 / 3.0) -> np.ndarray:
-    return np.array([sigma * (x[1] - x[0]),
-                     x[0] * (rho - x[2]) - x[1],
-                     x[0] * x[1] - b * x[2]])
+    xt = x.T
+    x0, x1, x2 = xt[0], xt[1], xt[2]
+    return _state(sigma * (x1 - x0), x0 * (rho - x2) - x1, x0 * x1 - b * x2)
 
 
 @dataclass
@@ -112,9 +169,12 @@ SYSTEMS = {
 }
 
 
-def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None,
-                h: float | None = None, b: float | None = None) -> np.ndarray:
-    """One step of a system; h and b left as None take the system's own."""
+def system_step(name: str, x: np.ndarray, rng=None, h: float | None = None,
+                b: float | None = None) -> np.ndarray:
+    """One step of a system from one state (n,) or a batch (S, n); h and b
+    left as None take the system's own. rng is one Generator for a single
+    state or a sequence of one per row of a batch; only the noisy systems
+    read it."""
     spec = SYSTEMS[name]
     hh = spec.h if h is None else h
     if spec.b is not None:
@@ -130,8 +190,15 @@ def system_step(name: str, x: np.ndarray, rng: np.random.Generator | None = None
 
 def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
              h: float | None = None, b: float | None = None) -> np.ndarray:
-    """The trajectory of steps+1 states from x0; h and b left as None take the
-    system's own, and one the system never reads raises ValueError."""
+    """The trajectory of steps+1 states from x0, shape (steps+1, n).
+
+    x0 may also be a batch of starts (S, n); the result is then
+    (S, steps+1, n), every start stepped together, and row i draws its noise
+    from the stream seed+i, so it equals simulate(name, x0[i], steps,
+    seed=seed+i) bit for bit. h and b left as None take the system's own,
+    and one the system never reads raises ValueError, as does an x0 that is
+    not finite or not shaped (n,) or (S, n) with n the system's dimension.
+    """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     spec = SYSTEMS[name]
@@ -143,14 +210,24 @@ def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
         raise ValueError(f"h must be positive and finite, got {h}")
     if b is not None and not np.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
-    rng = None if seed is None else np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
-    traj = np.empty((steps + 1, x.size))
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim or x.size == 0:
+        raise ValueError(f"x0 must be one {name} start ({spec.dim},) or a batch "
+                         f"(S, {spec.dim}) of them, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    if seed is None:
+        rng = None
+    elif x.ndim == 1:
+        rng = np.random.default_rng(seed)
+    else:
+        rng = [np.random.default_rng(seed + i) for i in range(len(x))]
+    traj = np.empty((steps + 1,) + x.shape)
     traj[0] = x
     for t in range(steps):
         x = system_step(name, x, rng, h, b)
         traj[t + 1] = x
-    return traj
+    return np.moveaxis(traj, 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +283,8 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
     maps only, 0 for "linear" and 0.1 for "linear-stoch"; an h or b the
     system never reads is refused, as simulate refuses it. Trajectory i runs
     from start i with seed seed+i: grid_points per axis over [lo, hi]^dim,
-    or the one start x0 (lorenz always runs from its own, (1, 1, 1)).
+    all stepped together by one simulate call, or the one start x0 (lorenz
+    always runs from its own, (1, 1, 1)). The rows are trajectory-major.
     """
     spec = SYSTEMS[system]
     steps = spec.steps if steps is None else steps
@@ -222,16 +300,15 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
         if x0.shape != (spec.dim,):
             raise ValueError(f"{system} starts need {spec.dim} coordinates")
         meta["x0"] = x0.tolist()
-        starts = x0[None]
+        starts = x0   # one start keeps the cheaper single-state path
     else:
         if grid_points < 1:
             raise ValueError(f"grid_points must be at least 1, got {grid_points}")
         meta["grid"] = {"lo": lo, "hi": hi, "points": grid_points}
         starts = grid_starts(lo, hi, grid_points, spec.dim)
-    trajs = [simulate(system, s, steps, seed=seed + i, h=h, b=b)
-             for i, s in enumerate(starts)]
-    X = np.concatenate([t[:-1] for t in trajs], axis=0)
-    Y = np.concatenate([t[1:] for t in trajs], axis=0)
+    traj = simulate(system, starts, steps, seed=seed, h=h, b=b)
+    X = traj[..., :-1, :].reshape(-1, spec.dim)
+    Y = traj[..., 1:, :].reshape(-1, spec.dim)
     return X, Y, meta
 
 

@@ -442,6 +442,26 @@ def test_rollout_refuses_a_non_finite_start(bad):
         rollout(model, store, np.array([[0.5, 0.5], [bad, 1.0]]), 5)
 
 
+@pytest.mark.parametrize("mode,variant", [("implicit", "icnn"), ("convex", "icnn"),
+                                          ("projection", "icnn")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certified_step_refuses_a_non_finite_state(mode, variant, bad):
+    # a NaN state gave [nan, nan] with nothing flagged, and an infinite one
+    # an uncertified finite step, V(x) = inf switching the certificate off
+    model, store = _fresh(mode, variant, seed=2)
+    with pytest.raises(ValueError, match=r"finite states; rows \[0\]"):
+        model_step(model, store, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match=r"finite states; rows \[1\]"):
+        step_expr(model, store, Tape(), np.array([[0.5, 0.5], [1.0, bad]]))
+
+
+def test_mode_none_passes_a_non_finite_state_through():
+    # the unconstrained baseline certifies nothing and may overflow
+    model, store = _fresh("none", "icnn", seed=2)
+    out = model_step(model, store, np.array([np.nan, 1.0]))
+    assert np.isnan(out).all()
+
+
 def test_origin_fixed_point_certified():
     # from exactly zero, a scaling model pins the state at zero
     model, store = _fresh("implicit", "lnn", seed=33)

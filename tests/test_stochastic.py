@@ -233,6 +233,24 @@ def test_stochastic_rollout_refuses_a_non_finite_start(bad):
                            np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("mode", ["implicit", "convex"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stabilized_mixture_refuses_a_non_finite_state(mode, bad):
+    # on an inf row V(x) = inf, and the mixture mean was certified by nothing
+    model, store = _fresh(mode, "icnn", seed=10)
+    X = np.array([[0.5, 0.5], [bad, 1.0]])
+    with pytest.raises(ValueError, match=r"finite states; rows \[1\]"):
+        mdn_forward(model, store, X)
+    with pytest.raises(ValueError, match=r"finite states; rows \[1\]"):
+        mdn_forward(model, store, X, Tape())
+
+
+def test_plain_mixture_passes_a_non_finite_state_through():
+    model, store = _fresh("none", "icnn", seed=10)
+    out = mdn_forward(model, store, np.array([[0.5, 0.5], [np.nan, 1.0]]))
+    assert np.isnan(out.mu_mix[1]).all() and np.isfinite(out.mu_mix[0]).all()
+
+
 @pytest.mark.parametrize("mode,variant", [("convex", "icnn"), ("implicit", "lnn")])
 def test_nll_gradients_match_finite_differences(mode, variant):
     rng = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,56 @@ def test_single_trajectory_regenerates_from_stream_seed():
     sl = slice(i * 5, (i + 1) * 5)
     assert np.array_equal(X[sl], traj[:-1])
     assert np.array_equal(Y[sl], traj[1:])
+
+
+@pytest.mark.parametrize("system, points", [
+    ("saturated", 4), ("sde", 3), ("linear", 4), ("linear-stoch", 4),
+])
+def test_every_grid_trajectory_regenerates_from_its_stream_seed(system, points):
+    # sde's 3-point grid holds the origin
+    steps, seed = 6, 11
+    X, Y, _ = generate_transitions(system, seed=seed, steps=steps, grid_points=points)
+    starts = grid_starts(-6.0, 6.0, points)
+    for i, start in enumerate(starts):
+        traj = simulate(system, start, steps, seed=seed + i)
+        rows = slice(i * steps, (i + 1) * steps)
+        assert np.array_equal(X[rows], traj[:-1]) and np.array_equal(Y[rows], traj[1:])
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_batched_simulate_row_is_the_one_start_run(system):
+    dim = SYSTEMS[system].dim
+    starts = np.random.default_rng(8).uniform(-4.0, 4.0, size=(5, dim))
+    starts[2] = 0.0
+    batch = simulate(system, starts, 12, seed=30)
+    assert batch.shape == (5, 13, dim)
+    for i, start in enumerate(starts):
+        one = simulate(system, start, 12, seed=30 + i)
+        assert np.array_equal(batch[i], one)
+        assert np.array_equal(np.signbit(batch[i]), np.signbit(one))
+
+
+def test_sde_grid_through_the_origin_warns_nothing():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        X, Y, _ = generate_transitions("sde", seed=2, steps=4, grid_points=3)
+    origin = np.flatnonzero((X == 0.0).all(axis=1))
+    assert origin.size
+    # the drift and the diffusion both vanish there, so the state stays put
+    assert np.array_equal(Y[origin], np.zeros((origin.size, 2)))
+
+
+@pytest.mark.parametrize("system, x0, kw", [
+    ("saturated", 1.0, {}), ("saturated", np.ones((2, 2, 2)), {}),
+    ("saturated", np.ones(3), {}), ("lorenz", np.ones(2), {}),
+    ("saturated", np.ones((4, 3)), {}), ("saturated", np.ones((0, 2)), {}),
+    ("saturated", [np.inf, 1.0], {}), ("sde", [np.nan, 1.0], dict(seed=0)),
+    ("linear-stoch", [[1.0, 2.0], [np.nan, 1.0]], dict(seed=0)),
+], ids=["ndim-0", "ndim-3", "three-coords", "lorenz-two-coords", "batch-three-coords",
+        "empty-batch", "inf", "nan", "nan-in-batch"])
+def test_simulate_refuses_a_start_it_cannot_step_by_name(system, x0, kw):
+    with pytest.raises(ValueError, match="^x0 "):
+        simulate(system, x0, 3, **kw)
 
 
 def test_lorenz_dataset_is_one_long_trajectory():
