@@ -23,7 +23,11 @@ linear(0, W) is an exact +-0 and adding it changes no bit, so g(0) follows
 from the biases alone: z1 = smooth_relu(b0), z2 = smooth_relu(U1 z1 + b1),
 g(0) = u2 z2 + b2. Both equal, bit for bit, what the full pass on
 np.zeros(dim) returns, and that pass's tape nodes would carry only
-exact-zero gradients.
+exact-zero gradients. A raw value or value_and_grad call builds g(0)
+itself unless it is given one as g0=; g(0) is built once per raw certified
+step (origin) and passed to its V calls, which changes no bit. A recorded
+call always builds its own, so the tape holds g(0)'s nodes where the
+parameters' gradients need them.
 
 Gradients w.r.t. the input are built as expressions from the
 same primitives, so they can be recorded on a tape and differentiated again
@@ -105,20 +109,33 @@ class LyapunovNet:
 
     # -- evaluation --------------------------------------------------------
 
-    def value(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
-        return self._eval(x, store, tape, need_grad=False)[0]
+    def value(self, x, store: ad.ParamStore, tape: ad.Tape | None = None, *, g0=None):
+        return self._eval(x, store, tape, g0, need_grad=False)[0]
 
     def grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
-        return self._eval(x, store, tape, need_grad=True)[1]
+        return self._eval(x, store, tape, None, need_grad=True)[1]
 
-    def value_and_grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
-        return self._eval(x, store, tape, need_grad=True)
+    def value_and_grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None, *,
+                       g0=None):
+        return self._eval(x, store, tape, g0, need_grad=True)
 
-    def _eval(self, x, store, tape, need_grad: bool):
+    def origin(self, store: ad.ParamStore):
+        """g(0) on raw arrays, to pass as g0= to the raw V calls of one step.
+
+        None for lnn and convex_lnn, whose g(0) is exactly 0 and never built.
+        """
+        if self.variant != "icnn":
+            return None
+        return _icnn_origin(*(store.values[f"{PREFIX}.{n}"]
+                              for n in ("b0", "U1", "b1", "u2", "b2")))
+
+    def _eval(self, x, store, tape, g0, need_grad: bool):
+        if g0 is not None and tape is not None:
+            raise ValueError("g0 serves raw calls only; a recorded V builds its own")
         if self.variant in ("lnn", "convex_lnn"):
             excess, seed_fn = self._mlp_body(x, store, tape)
         else:
-            excess, seed_fn = self._icnn_body(x, store, tape)
+            excess, seed_fn = self._icnn_body(x, store, tape, g0)
 
         quad = ad.mul(ad.rowdot(x, x), EPSILON)
         if self.variant == "lnn":
@@ -150,7 +167,7 @@ class LyapunovNet:
 
         return g, seed_fn
 
-    def _icnn_body(self, x, store, tape):
+    def _icnn_body(self, x, store, tape, g0=None):
         def P(name):
             full = f"{PREFIX}.{name}"
             return store.values[full] if tape is None else tape.param(store, full)
@@ -164,10 +181,8 @@ class LyapunovNet:
         a2 = ad.add(ad.linear(z1, U1, b1), ad.linear(x, W1))
         z2 = ad.smooth_relu(a2, D)
         g = ad.squeeze_last(ad.add(ad.linear(z2, u2, b2), ad.linear(x, w2)))
-        # g(0) from the biases alone: each dropped linear(0, W) term is an exact +-0
-        z1_0 = ad.smooth_relu(b0, D)
-        z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), D)
-        g0 = ad.squeeze_last(ad.linear(z2_0, u2, b2))
+        if g0 is None:
+            g0 = _icnn_origin(b0, U1, b1, u2, b2)
 
         def seed_fn(s):
             se = ad.expand_last(s)
@@ -182,3 +197,9 @@ class LyapunovNet:
 
         return ad.sub(g, g0), seed_fn
 
+
+def _icnn_origin(b0, U1, b1, u2, b2):
+    """The icnn's g(0) from its biases: each dropped linear(0, W) term is an exact +-0."""
+    z1_0 = ad.smooth_relu(b0, D)
+    z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), D)
+    return ad.squeeze_last(ad.linear(z2_0, u2, b2))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw, refuse_non_finite)
+                            certified_gamma_raw, raw_v_pass, refuse_non_finite)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -76,6 +76,9 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     decrease target beta*V(x) and every spread is tied to V at that scaled
     mean, so the covariance shrinks together with the mean dynamics. There a
     state that is not finite raises ValueError; mode "none" passes it through.
+    On the raw path (tape None) V(x) and V(mean) come from
+    deterministic.raw_v_pass, one stacked call for a batch of up to
+    STACK_ROWS / 2 rows, and V at the scaled mean reuses its g(0).
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
@@ -95,14 +98,15 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     if model.mode == "none":
         return MdnOutput(pi=pi, mu=mu, sigma=ad.exp(raw), mu_mix=mu_mix)
 
-    v_x = model.lyap.value(X, store, tape)
     if tape is None:
-        gamma, mask, _, _, _ = certified_gamma_raw(
-            model, store, mu_mix, v_x, model.lyap.value(mu_mix, store))
+        v_x, v_y, grad_y, g0 = raw_v_pass(model, store, X, mu_mix)
+        gamma, mask, _, _, _ = certified_gamma_raw(model, store, mu_mix, v_x, v_y, grad_y, g0)
         gv = gamma if mask.any() else None
     else:
+        g0 = None
         info = StepInfo(intervened=None)
-        gv = certified_gamma_expr(model, store, tape, mu_mix, v_x, info=info)
+        gv = certified_gamma_expr(model, store, tape, mu_mix, model.lyap.value(X, store, tape),
+                                  info=info)
         gamma, mask = info.gamma, info.intervened
 
     if gv is not None:
@@ -110,7 +114,7 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
         mu = ad.mul(mu, scale)
         mu_mix = ad.scale_rows(mu_mix, gv)
 
-    v_mu = model.lyap.value(mu_mix, store, tape)
+    v_mu = model.lyap.value(mu_mix, store, tape, g0=g0)
     cap = ad.sqrt(ad.mul(v_mu, model.sigma_cap))
     sigma = ad.mul(ad.sigmoid(raw), ad.expand_last(ad.expand_last(cap)))
     return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix,
@@ -145,14 +149,14 @@ def _draw(out: MdnOutput, rows: int, rng: np.random.Generator) -> np.ndarray:
 def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
                rng: np.random.Generator) -> np.ndarray:
     """Draw one next state per row."""
-    X, single = as_batch(x)
+    X, single = as_batch(x, model.dim)
     sample = _draw(mdn_forward(model, store, X), X.shape[0], rng)
     return sample[0] if single else sample
 
 
 def mdn_mean_step(model: StochasticModel, store: ad.ParamStore, x) -> np.ndarray:
     """The mixture mean at a batch of states, as a plain next-state map."""
-    X, single = as_batch(x)
+    X, single = as_batch(x, model.dim)
     m = mdn_forward(model, store, X).mu_mix
     return m[0] if single else m
 
@@ -175,8 +179,9 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     if paths < 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1:
-        raise ValueError("x0 must be a single state")
+    if x0.shape != (model.dim,):
+        raise ValueError(f"x0 must be a single state of dimension {model.dim}, "
+                         f"got shape {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0}")
     X = np.tile(x0, (paths + 1, 1))

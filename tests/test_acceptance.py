@@ -114,7 +114,7 @@ def test_02_root_finder_residuals_budgets_and_quadratic_oracle():
     budget = 50 + 60
 
     class QuadV:
-        def value_and_grad(self, Y, store):
+        def value_and_grad(self, Y, store, g0=None):
             return (Y * Y).sum(axis=-1), 2.0 * Y
 
     # V(g*y) = g^2*|y|^2 has the closed form g = sqrt(target)/|y|; the

@@ -3,9 +3,10 @@ import pytest
 
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
-from stabledyn.deterministic import (RootFindError, convex_gamma, make_model,
-                                     model_step, rollout, solve_gamma_batch,
-                                     step_expr)
+from stabledyn.deterministic import (ORIGIN_GUARD, STACK_ROWS, RootFindError,
+                                     convex_gamma, make_model, model_step, rollout,
+                                     solve_gamma_batch, step_expr)
+from stabledyn.lyapunov import LyapunovNet
 
 
 class PolyV:
@@ -14,7 +15,7 @@ class PolyV:
     def __init__(self, c2=1.0, c4=0.0):
         self.c2, self.c4 = c2, c4
 
-    def value_and_grad(self, X, store, tape=None):
+    def value_and_grad(self, X, store, tape=None, g0=None):
         X = np.atleast_2d(X)
         r2 = (X * X).sum(-1)
         v = self.c4 * r2 * r2 + self.c2 * r2
@@ -416,8 +417,135 @@ def test_recorded_step_matches_raw_step(mode, variant, integrating, route):
         assert 0 < info.intervened.sum() < X.shape[0]
     tape = Tape()
     rec = ad.value_of(step_expr(model, store, tape, X))
-    assert np.array_equal(raw, rec)
     assert np.array_equal(step_expr(model, store, None, X), raw)
+    if mode in ("projection", "none"):
+        assert np.array_equal(raw, rec)
+        return
+    # the raw step takes V(X) and V(y) from one call on the stacked rows and
+    # the recorded step from two, and V moves in its last bits with the rows
+    # batched beside it: the steps agree to rounding, and on the rows away
+    # from the switching surface they intervene alike
+    np.testing.assert_allclose(raw, rec, rtol=1e-13, atol=0.0)
+    v_x = model.lyap.value(X, store)
+    v_y = model.lyap.value(model.fhat.forward(X, store), store)
+    target = model.beta * v_x
+    far = np.abs(v_y - target) > 1e-12 * target
+    assert np.array_equal(info.intervened[far], (v_y > target)[far])
+
+
+@pytest.mark.parametrize("mode,variant", [("convex", "icnn"), ("implicit", "icnn"),
+                                          ("implicit", "lnn")])
+def test_a_batch_above_the_stacked_pass_steps_as_the_recorded_step(mode, variant):
+    # past STACK_ROWS the raw step makes the recorded step's V calls
+    model, store = _fresh(mode, variant, seed=19, expand=8.0)
+    X = np.random.default_rng(20).uniform(-6, 6, size=(STACK_ROWS // 2 + 1, 2))
+    raw, info = model_step(model, store, X, want_info=True)
+    assert 0 < info.intervened.sum() < X.shape[0]
+    assert np.array_equal(raw, ad.value_of(step_expr(model, store, Tape(), X)))
+
+
+# ---------------------------------------------------------------------------
+# one V pass per raw step
+
+_RAW_CASES = [("convex", "icnn"), ("implicit", "icnn"), ("implicit", "lnn"),
+              ("implicit", "convex_lnn")]
+
+
+def _separate_step(model, store, X):
+    """The raw step from separate V(X) and V(y) calls and a fresh gamma solve."""
+    y = model.fhat.forward(X, store)
+    v_x, v_y = model.lyap.value(X, store), model.lyap.value(y, store)
+    target = model.beta * v_x
+    mask = (v_y > target) & (v_y >= ORIGIN_GUARD)
+    rows = np.flatnonzero(mask)
+    gamma = np.ones(X.shape[0])
+    nn = np.zeros(X.shape[0], dtype=int)
+    nb = np.zeros(X.shape[0], dtype=int)
+    if model.mode == "convex":
+        gamma[rows] = convex_gamma(v_x[rows], v_y[rows], model.beta)
+    else:
+        gamma[rows], _, nn[rows], nb[rows] = solve_gamma_batch(
+            model.lyap, store, y[rows], target[rows], rootfind_tol=model.rootfind_tol)
+    return gamma[:, None] * y, mask, nn, nb
+
+
+@pytest.mark.parametrize("expand", [None, 20.0])
+@pytest.mark.parametrize("mode,variant", _RAW_CASES)
+def test_raw_step_matches_separate_v_calls_and_a_fresh_solve(mode, variant, expand):
+    model, store = _fresh(mode, variant, seed=5, expand=expand)
+    X = np.random.default_rng(6).uniform(-6, 6, size=(64, 2))
+    out, info = model_step(model, store, X, want_info=True)
+    want, mask, nn, nb = _separate_step(model, store, X)
+    if expand:
+        assert info.intervened.any()
+    assert np.array_equal(info.intervened, mask)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(info.newton_iters, nn)
+    assert np.array_equal(info.bisect_iters, nb)
+
+
+@pytest.mark.parametrize("batch", [1, 20, 128, 256])
+@pytest.mark.parametrize("mode,variant", _RAW_CASES)
+def test_raw_step_evaluates_v_once_plus_once_per_solver_iteration(monkeypatch, mode,
+                                                                  variant, batch):
+    model, store = _fresh(mode, variant, seed=5, expand=20.0)
+    X = np.random.default_rng(batch).uniform(-6, 6, size=(batch, 2))
+    calls = []
+    plain = LyapunovNet._eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape[0])
+        return plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    _, info = model_step(model, store, X, want_info=True)
+    # the batch solver calls V once per iteration of its slowest row
+    iters = int((info.newton_iters + info.bisect_iters).max())
+    assert mode == "implicit" or iters == 0
+    if 2 * batch <= STACK_ROWS:
+        assert calls[0] == 2 * batch
+        assert len(calls) == 1 + iters
+    else:
+        # V(X), V(y), then the solve's own start on the intervening rows
+        solved = int(info.intervened.sum()) if mode == "implicit" else 0
+        want = [batch, batch] + ([solved] if solved else [])
+        assert calls[:len(want)] == want
+        assert len(calls) == len(want) + iters
+
+
+def test_solver_started_from_its_own_first_evaluation_is_bit_identical():
+    v = PolyV(c2=1.0, c4=0.5)
+    Y = np.array([[1.0, 0.5], [2.0, 0.0], [0.3, -1.2], [-1.5, 2.0], [0.8, 0.8]])
+    T = np.array([0.999, 0.98, 0.6, 0.01, 0.3]) * v.value_and_grad(Y, None)[0]
+    plain = solve_gamma_batch(v, None, Y, T, rootfind_tol=1e-10)
+    started = solve_gamma_batch(v, None, Y, T, rootfind_tol=1e-10,
+                                start=v.value_and_grad(Y, None))
+    for a, b in zip(plain, started):
+        assert np.array_equal(a, b)
+
+    model, store = _fresh("implicit", "icnn", seed=5)
+    lyap = model.lyap
+    Y = np.random.default_rng(7).uniform(-6, 6, size=(40, 2))
+    T = np.random.default_rng(8).uniform(0.01, 0.99, size=40) * lyap.value(Y, store)
+    plain = solve_gamma_batch(lyap, store, Y, T)
+    assert plain[2].sum() + plain[3].sum() > 0
+    g0 = lyap.origin(store)
+    for started in (solve_gamma_batch(lyap, store, Y, T, start=lyap.value_and_grad(Y, store)),
+                    solve_gamma_batch(lyap, store, Y, T, g0=g0,
+                                      start=lyap.value_and_grad(Y, store, g0=g0))):
+        for a, b in zip(plain, started):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (3, 3), (3,), ()])
+def test_a_state_of_the_wrong_shape_is_refused_by_name(shape):
+    # a (3, 4, 2) batch used to end in an IndexError inside the gamma decision,
+    # and a wrong dimension in numpy's matmul message
+    model, store = _fresh("implicit", "icnn", seed=2)
+    with pytest.raises(ValueError, match=r"^x must be a state of dimension 2"):
+        model_step(model, store, np.ones(shape))
+    with pytest.raises(ValueError, match=r"^x0 must be a state of dimension 2"):
+        rollout(model, store, np.ones(shape), 3)
 
 
 def test_rollout_shapes_and_v_trace():

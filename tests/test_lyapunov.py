@@ -252,3 +252,27 @@ def test_icnn_bias_only_g0_equals_the_full_body_at_the_origin():
         tape = Tape()
         excess_t, _ = net._icnn_body(tape.input(X), store, tape)
         assert np.array_equal(ad.value_of(excess_t), ref), seed
+
+
+@pytest.mark.parametrize("hidden", [(7,), (7, 5)])
+def test_a_supplied_g0_changes_no_bit(hidden):
+    net, store = _fresh("icnn", hidden=hidden, seed=3)
+    g0 = net.origin(store)
+    X = np.random.default_rng(4).uniform(-3.0, 3.0, size=(16, 2))
+    for x in (X, X[0]):
+        v, gv = net.value_and_grad(x, store)
+        v0, gv0 = net.value_and_grad(x, store, g0=g0)
+        assert np.array_equal(v, v0) and np.array_equal(gv, gv0)
+        assert np.array_equal(net.value(x, store, g0=g0), v)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_origin_is_built_for_the_icnn_alone_and_serves_raw_calls(variant):
+    net, store = _fresh(variant)
+    g0 = net.origin(store)
+    assert (g0 is None) == (variant != "icnn")
+    if g0 is not None:
+        assert np.array_equal(g0, _icnn_full_body(net, store, np.zeros(2)))
+        # a recorded V needs g(0) on its own tape, or the biases lose its gradient
+        with pytest.raises(ValueError, match="raw calls only"):
+            net.value(np.ones((2, 2)), store, Tape(), g0=g0)

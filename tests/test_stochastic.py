@@ -233,6 +233,13 @@ def test_stochastic_rollout_refuses_a_non_finite_start(bad):
                            np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2), (3, 4, 2)])
+def test_stochastic_rollout_refuses_a_start_of_the_wrong_shape(shape):
+    model, store = _fresh("implicit", "icnn", seed=10)
+    with pytest.raises(ValueError, match=r"^x0 must be a single state of dimension 2"):
+        stochastic_rollout(model, store, np.ones(shape), 5, 2, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("mode", ["implicit", "convex"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stabilized_mixture_refuses_a_non_finite_state(mode, bad):
