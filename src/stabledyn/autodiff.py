@@ -5,6 +5,13 @@ numpy arrays or tape-recorded variables. The raw path is the fast inference
 path; the recorded path builds a per-evaluation tape that supports exactly one
 reverse sweep, accumulating parameter gradients into a ParamStore.
 
+The sweep releases the graph: every recorded Var drops its pullback and its
+tape, so the batch's arrays are freed by reference counting as soon as the
+caller drops the tape, with no work left for the cyclic collector. A swept
+Var keeps its value and .grad but cannot enter a new primitive. Gradients are
+passed on without copies, so a leaf's .grad may be a read-only view or share
+memory with another leaf's; ParamStore.grads are the store's own arrays.
+
 All arithmetic is float64; root-finding tolerances and the finite-difference
 checks need the headroom.
 """
@@ -46,11 +53,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
-
-    def check_finite(self) -> None:
-        for name, v in self.values.items():
-            if not np.all(np.isfinite(v)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 class Var:
@@ -105,6 +107,8 @@ class Tape:
         for node in reversed(self._nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            # Var.tape -> Tape._nodes -> Var is the graph's only cycle
+            node._backward = node.tape = None
         for (sid, name), leaf in self._param_leaves.items():
             if leaf.grad is not None:
                 self._stores[sid].grads[name] += leaf.grad
@@ -112,7 +116,7 @@ class Tape:
 
 def _accum(v: Var, g: np.ndarray) -> None:
     if v.grad is None:
-        v.grad = np.array(g, dtype=np.float64, copy=True)
+        v.grad = g
     else:
         v.grad = v.grad + g
 
@@ -121,9 +125,12 @@ def _tape_of(*args) -> Tape | None:
     tape = None
     for a in args:
         if isinstance(a, Var):
+            t = a.tape
+            if t is None:
+                raise ValueError("variable from a swept tape")
             if tape is None:
-                tape = a.tape
-            elif a.tape is not tape:
+                tape = t
+            elif t is not tape:
                 raise ValueError("mixing variables from different tapes")
     return tape
 
@@ -137,6 +144,8 @@ def value_of(x):
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -476,7 +485,7 @@ def override_value(a, value):
     val = _arr(value)
     if val.shape != a.value.shape:
         raise ValueError("override value shape mismatch")
-    return _node(a.tape, val, [(a, lambda g: g)])
+    return _node(_tape_of(a), val, [(a, lambda g: g)])
 
 
 # ---------------------------------------------------------------------------

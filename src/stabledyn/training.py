@@ -16,6 +16,8 @@ fhat is never pulled back. That term is never reported.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -62,25 +64,53 @@ class TrainReport:
 
 
 class AdamState:
+    """Adam's moments as flat vectors over the store's parameters, in order."""
+
     def __init__(self, store: ad.ParamStore):
-        self.m = {k: np.zeros_like(v) for k, v in store.values.items()}
-        self.v = {k: np.zeros_like(v) for k, v in store.values.items()}
+        self.layout = list(store.shapes().items())
+        self.bounds = [0, *itertools.accumulate(math.prod(s) for _, s in self.layout)]
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
         self.t = 0
 
 
 def adam_step(store: ad.ParamStore, state: AdamState, lr: float) -> None:
-    state.t += 1
-    b1t = 1.0 - BETA1 ** state.t
-    b2t = 1.0 - BETA2 ** state.t
-    for name, g in store.grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - BETA1) * (g - m)
-        v += (1.0 - BETA2) * (g * g - v)
-        store.values[name] -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-    store.check_finite()
+    """One Adam update of every parameter. A non-finite gradient, or an update
+    that would leave a non-finite value, raises before anything moves."""
+    layout = list(store.shapes().items())
+    if layout != state.layout:
+        name = next(a or b for a, b in itertools.zip_longest(layout, state.layout)
+                    if a != b)[0]
+        raise ValueError(f"Adam state built for another parameter layout: {name!r} differs")
+    g = _flat(store.grads)
+    name = _first_nonfinite(g, state)
+    if name is not None:
+        raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    t = state.t + 1
+    b1t = 1.0 - BETA1 ** t
+    b2t = 1.0 - BETA2 ** t
+    m = state.m + (1.0 - BETA1) * (g - state.m)
+    v = state.v + (1.0 - BETA2) * (g * g - state.v)
+    x = _flat(store.values) - lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+    name = _first_nonfinite(x, state)
+    if name is not None:
+        raise FloatingPointError(f"non-finite values in parameter {name!r}")
+    state.m, state.v, state.t = m, v, t
+    for (name, shape), lo, hi in zip(state.layout, state.bounds, state.bounds[1:]):
+        store.values[name][...] = x[lo:hi].reshape(shape)
+
+
+def _flat(arrays: dict) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays.values()])
+
+
+def _first_nonfinite(flat: np.ndarray, state: AdamState) -> str | None:
+    """The first parameter with a non-finite entry in `flat`, else None."""
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    bad = int(finite.argmin())
+    return next(n for (n, _), hi in zip(state.layout, state.bounds[1:]) if bad < hi)
 
 
 def _batches(n: int, batch_size: int | None, rng):

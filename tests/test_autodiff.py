@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,3 +219,61 @@ def test_override_value_passthrough():
     assert z.value[0] == 99.0
     tape.backward(ad.vsum(z))
     assert x.grad[0] == pytest.approx(3.0)
+
+
+def _swept_tape():
+    store = ParamStore()
+    store.add("w", np.array([1.0, 2.0]))
+    tape = Tape()
+    w = tape.param(store, "w")
+    x = tape.input(np.array([3.0, -1.0]))
+    root = ad.vsum(ad.mul(ad.tanh(ad.mul(w, x)), x))
+    tape.backward(root)
+    return tape, x, root
+
+
+def test_swept_tape_is_freed_by_reference_counting():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape, x, root = _swept_tape()
+        assert len(tape._nodes) == 6       # w, x, mul, tanh, mul, vsum
+        assert x.grad is not None and x.grad.shape == (2,)
+        alive = weakref.ref(tape)
+        del tape
+        # x and root are still held, yet nothing they reach holds the tape
+        assert alive() is None
+        assert x.grad is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_swept_variable_cannot_enter_a_primitive():
+    _, x, root = _swept_tape()
+    live = Tape().input(np.array([1.0, 1.0]))
+    for use in (lambda: ad.add(x, 1.0), lambda: ad.mul(live, x),
+                lambda: ad.override_value(x, np.zeros(2)), lambda: ad.vsum(root)):
+        with pytest.raises(ValueError, match="swept tape"):
+            use()
+
+
+def test_fan_out_gradients_are_exact_and_not_aliased():
+    # w feeds add, mul and vsum: d/dw [sum(w + c*w) + (sum w)^2 + sum(b)]
+    # = 1 + c + 2 sum(w), and d/db = 1
+    store = ParamStore()
+    store.add("w", np.array([1.0, 2.0, 3.0]))
+    store.add("b", np.array([0.5, -0.5, 4.0]))
+    c = np.array([2.0, -1.0, 0.5])
+    tape = Tape()
+    w, b = tape.param(store, "w"), tape.param(store, "b")
+    s = ad.vsum(w)
+    q = ad.add(ad.add(w, ad.mul(w, c)), b)
+    tape.backward(ad.add(ad.vsum(q), ad.mul(s, s)))
+    want_w = 1.0 + c + 12.0
+    assert np.array_equal(store.grads["w"], want_w)
+    assert np.array_equal(store.grads["b"], np.ones(3))
+    for leaf, name in ((w, "w"), (b, "b")):
+        assert not np.shares_memory(leaf.grad, store.grads[name])
+    w.grad[...] = -99.0
+    assert np.array_equal(store.grads["w"], want_w)

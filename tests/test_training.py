@@ -204,3 +204,79 @@ def test_objective_reports_what_train_reports(kind):
     reported = training.objective(model, store, None, X, Y)[1]
     report = train(model, store, X, Y, TrainConfig(epochs=1))
     assert report.losses[0] == reported
+
+
+def _mixed_store():
+    # values well below the step size, so a rounding change in the step
+    # reaches the stored bits
+    store = ParamStore()
+    store.add("s", 5e-5)
+    store.add("v", np.array([1e-4, -2e-4, 3e-4]))
+    store.add("M", (np.arange(6.0).reshape(2, 3) - 2.5) * 1e-4)
+    return store
+
+
+def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
+    store = _mixed_store()
+    ref = {k: v.copy() for k, v in store.values.items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+    state = AdamState(store)
+    rng = np.random.default_rng(3)
+    lr = 0.0025
+    for t in range(1, 6):
+        store.zero_grads()
+        for name, g in store.grads.items():
+            g[...] = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=g.shape)
+        adam_step(store, state, lr)
+        b1t = 1.0 - training.BETA1 ** t
+        b2t = 1.0 - training.BETA2 ** t
+        for name, g in store.grads.items():
+            m[name] += (1.0 - training.BETA1) * (g - m[name])
+            v2[name] += (1.0 - training.BETA2) * (g * g - v2[name])
+            ref[name] -= lr * (m[name] / b1t) / (np.sqrt(v2[name] / b2t) + training.ADAM_EPS)
+        for name in ref:
+            assert store.values[name].shape == ref[name].shape
+            assert store.values[name].tobytes() == ref[name].tobytes(), (t, name)
+        assert state.m.tobytes() == np.concatenate([a.ravel() for a in m.values()]).tobytes()
+        assert state.v.tobytes() == np.concatenate([a.ravel() for a in v2.values()]).tobytes()
+    assert state.t == 5
+
+
+@pytest.mark.parametrize("cause", ["gradient", "overflow"])
+def test_adam_refusal_moves_nothing(cause):
+    store = _mixed_store()
+    state = AdamState(store)
+    for g in store.grads.values():
+        g[...] = 1.0
+    adam_step(store, state, lr=0.1)
+    if cause == "gradient":
+        store.grads["M"][1, 2] = np.nan   # the last parameter; s and v are finite
+        lr, match = 0.1, "gradient for parameter 'M'"
+    else:
+        store.values["M"][0, 0] = -1.7e308   # a step of about 1e308 overflows it
+        lr, match = 1e308, "values in parameter 'M'"
+    values = {k: v.copy() for k, v in store.values.items()}
+    moments = (state.m.copy(), state.v.copy(), state.t)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=match):
+        adam_step(store, state, lr=lr)
+    for name, v in values.items():
+        assert np.array_equal(store.values[name], v), name
+    assert np.array_equal(state.m, moments[0])
+    assert np.array_equal(state.v, moments[1])
+    assert state.t == moments[2]
+
+
+@pytest.mark.parametrize("change", ["reshape", "extra", "missing"])
+def test_adam_refuses_a_state_built_for_another_layout(change):
+    state = AdamState(_mixed_store())
+    store = ParamStore()
+    store.add("s", 0.5)
+    store.add("v", np.zeros(4 if change == "reshape" else 3))
+    if change != "missing":
+        store.add("M", np.zeros((2, 3)))
+    if change == "extra":
+        store.add("z", np.zeros(2))
+    named = {"reshape": "'v'", "extra": "'z'", "missing": "'M'"}[change]
+    with pytest.raises(ValueError, match=named):
+        adam_step(store, state, lr=0.1)
