@@ -19,7 +19,9 @@ Steps are batched over rows; the scalar case is a batch of one. One code
 path, built from the autodiff primitives, certifies every step: on raw
 arrays for inference (model_step) and on a tape for training (step_expr).
 The raw path evaluates V(x) and V(y) in one stacked call for batches of up
-to STACK_ROWS / 2 rows, and builds g(0) once per step (raw_v_pass).
+to STACK_ROWS / 2 rows, and builds g(0) once per step (raw_v_pass). Either
+way the step's StepInfo carries the raw V values it computed, so checking
+its certificate needs V again only where the step never evaluated it.
 """
 
 from __future__ import annotations
@@ -66,13 +68,24 @@ class RootFindError(RuntimeError):
 
 @dataclass
 class StepInfo:
-    """Diagnostics for one batched step."""
+    """Diagnostics for one batched step, and the raw V values it computed.
+
+    The V fields are what the step evaluated anyway, so a caller can check
+    the certificate without evaluating V again (training's violation count).
+    v_cert covers only the intervening rows, in row order, and only where the
+    step evaluated V at their certified state: the implicit mode's gradient
+    surrogates do, on a tape; convex mode and the raw path do not (None).
+    """
 
     intervened: np.ndarray        # bool (B,)
     gamma: np.ndarray | None = None       # (B,), scaling modes only
     newton_iters: np.ndarray | None = None
     bisect_iters: np.ndarray | None = None
     residual: np.ndarray | None = None    # |V(gamma*y) - beta*V(x)| where solved
+    v_x: np.ndarray | None = None         # (B,) V(x), scaling modes only
+    v_y: np.ndarray | None = None         # (B,) V at the free prediction y, scaling modes only
+    grad_x: np.ndarray | None = None      # (B, n) grad V(x), projection mode only
+    v_cert: np.ndarray | None = None      # V at the intervening rows' certified states
 
 
 @dataclass
@@ -290,15 +303,22 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     intervene, the origin rows and the forward gamma. What is recorded is
     only a gradient surrogate on the intervening rows whose value is that
     gamma; rows left alone carry an exact 1.0. The model's backward_route
-    picks the implicit surrogate. A StepInfo passed as info receives the
-    decision.
+    picks the implicit surrogate. V(y) is recorded in convex mode, whose
+    closed form differentiates through it, and evaluated raw in implicit
+    mode, where no gradient reads it. A StepInfo passed as info receives the
+    decision and the raw V values (StepInfo).
     """
-    v_y = model.lyap.value(y, store, tape)
+    y_val = ad.value_of(y)
+    if model.mode == "convex":
+        v_y = model.lyap.value(y, store, tape)
+    else:
+        v_y = model.lyap.value(y_val, store)
     gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-        model, store, ad.value_of(y), ad.value_of(v_x), ad.value_of(v_y))
+        model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))
     if info is not None:
         info.intervened, info.gamma, info.residual = mask, gamma, residual
         info.newton_iters, info.bisect_iters = n_newton, n_bisect
+        info.v_x, info.v_y = ad.value_of(v_x), ad.value_of(v_y)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return None
@@ -313,7 +333,9 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     else:
         surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
                      else _direct_gamma_node)
-        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
+        gam_i, v_cert = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
+        if info is not None:
+            info.v_cert = v_cert
     return ad.scatter_rows(gam_i, idx, mask.size, fill=1.0)
 
 
@@ -347,7 +369,8 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
 
     Built from the autodiff primitives: on raw arrays when tape is None, on
     the tape otherwise; the raw path evaluates V through raw_v_pass. Rows
-    left alone pass y through bit-exactly. A state that is not finite raises
+    left alone pass y through bit-exactly. The StepInfo carries the raw V
+    values the step computed (see StepInfo). A state that is not finite raises
     ValueError, since V certifies nothing there; mode "none" certifies
     nothing anyway and passes it through.
     """
@@ -359,9 +382,10 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
         return _projection(model, store, tape, X, y)
 
     if tape is None:
+        v_x, v_y, grad_y, g0 = raw_v_pass(model, store, X, y)
         gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-            model, store, y, *raw_v_pass(model, store, X, y))
-        info = StepInfo(mask, gamma, n_newton, n_bisect, residual)
+            model, store, y, v_x, v_y, grad_y, g0)
+        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y)
         gamma = gamma if mask.any() else None
     else:
         info = StepInfo(intervened=None)
@@ -382,7 +406,7 @@ def _projection(model: StableModel, store: ad.ParamStore, tape, X, y):
         coef_i = ad.div(ad.gather_rows(dot, idx), ad.rowdot(gv_i, gv_i))
         coef = ad.scatter_rows(coef_i, idx, mask.size, fill=0.0)
         delta = ad.sub(delta, ad.scale_rows(gv, coef))
-    return ad.add(X, delta), StepInfo(intervened=mask)
+    return ad.add(X, delta), StepInfo(intervened=mask, grad_x=ad.value_of(gv))
 
 
 def model_step(model: StableModel, store: ad.ParamStore, x, want_info: bool = False):
@@ -398,21 +422,21 @@ def model_step(model: StableModel, store: ad.ParamStore, x, want_info: bool = Fa
 
 
 def step_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape | None, X,
-              return_free: bool = False):
+              want_parts: bool = False):
     """The certified step of a (batch, dim) input, recorded on tape.
 
     The intervention pattern is decided on raw values and then frozen into
     the expression; gradients are exact on each side of the switching
     surface. With tape None the step runs raw, as in model_step. With
-    return_free the free prediction fhat(X) comes back as well, as
-    (step, free).
+    want_parts the free prediction fhat(X) and the step's StepInfo come back
+    as well, as (step, free, info).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("step_expr expects a (batch, dim) input")
     y = model.fhat.forward(X, store, tape)
-    out, _ = _certify(model, store, tape, X, y)
-    return (out, y) if return_free else out
+    out, info = _certify(model, store, tape, X, y)
+    return (out, y, info) if want_parts else out
 
 
 def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
@@ -455,13 +479,13 @@ def _fixed_point_gamma(model, store, tape, y_i, vx_i, gamma):
 
     The incoming gamma is held constant; at the root dF/dgamma = 0, so
     differentiating this single sweep gives the implicit derivative. The
-    forward value stays the solved gamma.
+    forward value stays the solved gamma. Returns it with the raw V(gamma y).
     """
     p = ad.scale_rows(y_i, gamma)
     v_p, gv_p = model.lyap.value_and_grad(p, store, tape)
     g = ad.sub(v_p, ad.mul(vx_i, model.beta))
     gp = ad.rowdot(gv_p, y_i)
-    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)
+    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma), ad.value_of(v_p)
 
 
 def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
@@ -473,10 +497,11 @@ def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
       dgamma/dtheta_V = -(dV(p)/dtheta - beta dV(x)/dtheta) / (grad V(p)^T y),
     where the V(x) part arrives through the recorded vx_i expression and the
     explicit dV(p)/dtheta term is replayed on a side tape inside backward.
+    Returns the node with the raw V(p).
     """
     Y = ad.value_of(y_i)
     P = gamma[:, None] * Y
-    gv_p = model.lyap.grad(P, store)
+    v_p, gv_p = model.lyap.value_and_grad(P, store)
     denom = (gv_p * Y).sum(axis=-1)
 
     out = ad.Var(gamma, tape)
@@ -486,9 +511,9 @@ def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
         ad._accum(y_i, (-gamma * w)[:, None] * gv_p)
         ad._accum(vx_i, model.beta * w)
         side = ad.Tape()
-        v_p = model.lyap.value(P, store, side)
-        root = ad.vsum(ad.mul(v_p, -w))
+        v_side = model.lyap.value(P, store, side)
+        root = ad.vsum(ad.mul(v_side, -w))
         side.backward(root)
 
     out._backward = backward
-    return tape._register(out)
+    return tape._register(out), v_p

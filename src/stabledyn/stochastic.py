@@ -66,6 +66,10 @@ class MdnOutput:
     mu_mix: object      # (B, n) mixture mean, after any scaling
     gamma: np.ndarray | None = None
     intervened: np.ndarray | None = None
+    # raw V values the forward computed, stabilized modes only: V(x), and V
+    # at the scaled mixture mean (the one the spreads are tethered to)
+    v_x: np.ndarray | None = None       # (B,)
+    v_mu: np.ndarray | None = None      # (B,)
 
 
 def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
@@ -78,7 +82,8 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     state that is not finite raises ValueError; mode "none" passes it through.
     On the raw path (tape None) V(x) and V(mean) come from
     deterministic.raw_v_pass, one stacked call for a batch of up to
-    STACK_ROWS / 2 rows, and V at the scaled mean reuses its g(0).
+    STACK_ROWS / 2 rows, and V at the scaled mean reuses its g(0). Either
+    way the output carries V(x) and V at the scaled mean as raw arrays.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
@@ -107,7 +112,7 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
         info = StepInfo(intervened=None)
         gv = certified_gamma_expr(model, store, tape, mu_mix, model.lyap.value(X, store, tape),
                                   info=info)
-        gamma, mask = info.gamma, info.intervened
+        gamma, mask, v_x = info.gamma, info.intervened, info.v_x
 
     if gv is not None:
         scale = ad.expand_last(ad.expand_last(gv))
@@ -117,8 +122,8 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     v_mu = model.lyap.value(mu_mix, store, tape, g0=g0)
     cap = ad.sqrt(ad.mul(v_mu, model.sigma_cap))
     sigma = ad.mul(ad.sigmoid(raw), ad.expand_last(ad.expand_last(cap)))
-    return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix,
-                     gamma=gamma, intervened=mask)
+    return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix, gamma=gamma,
+                     intervened=mask, v_x=v_x, v_mu=ad.value_of(v_mu))
 
 
 def mdn_nll(out: MdnOutput, y) -> object:

@@ -3,7 +3,11 @@
 One tape per batch, one reverse sweep, clamp any constrained V weights,
 zero the gradients, repeat. The loop also counts certificate violations on
 the raw predictions as it goes; for the scaling modes that count staying at
-zero is the whole point.
+zero is the whole point. The count reads the V values the certified step
+already computed (its StepInfo, or a mixture's MdnOutput): V(x), V(y) on
+the rows the step passed through, V at the certified state where the step
+evaluated it, and grad V(x) in projection mode. V is evaluated again only
+on the rows the step moved without evaluating V there.
 
 `objective` scores a batch for training, evaluation and gradient checks
 alike: a mixture's NLL, or the MSE of a deterministic model's certified
@@ -18,14 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import StableModel, model_step, step_expr
-from .stochastic import StochasticModel, mdn_forward, mdn_nll
+from .deterministic import StableModel, as_batch, model_step, step_expr
+from .stochastic import MdnOutput, StochasticModel, mdn_forward, mdn_nll
 
 
 # Adam's moment decay rates and denominator guard
@@ -35,6 +40,9 @@ ADAM_EPS = 1e-8
 
 # with verbose on, the loss is printed every LOG_EVERY epochs and at the last
 LOG_EVERY = 20
+
+# the violation count's allowance above the certificate's own bound
+SLACK = 1e-9
 
 
 @dataclass
@@ -46,6 +54,12 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
+        counts = {"epochs": self.epochs}
+        if self.batch_size is not None:
+            counts["batch_size"] = self.batch_size
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if not 0.0 < self.lr < np.inf:
@@ -123,19 +137,22 @@ def _batches(n: int, batch_size: int | None, rng):
 
 
 def objective(model, store: ad.ParamStore, tape: ad.Tape | None, X, Y):
-    """(loss minimised, loss reported, certified prediction) for one batch.
+    """(loss minimised, loss reported, certified prediction, step report) for
+    one batch.
 
-    With tape None it runs raw; the prediction is always a raw array.
+    With tape None it runs raw; the prediction is always a raw array. The
+    step report is the step's StepInfo, or a mixture's MdnOutput: what
+    _count_violations reads.
     """
     if isinstance(model, StochasticModel):
         out = mdn_forward(model, store, X, tape)
         loss = mdn_nll(out, Y)
-        return loss, loss, ad.value_of(out.mu_mix)
-    pred, free = step_expr(model, store, tape, X, return_free=True)
+        return loss, loss, ad.value_of(out.mu_mix), out
+    pred, free, info = step_expr(model, store, tape, X, want_parts=True)
     reported = loss = _mse(pred, Y)
     if model.mode == "implicit":
         loss = ad.add(loss, _mse(free, Y))
-    return loss, reported, ad.value_of(pred)
+    return loss, reported, ad.value_of(pred), info
 
 
 def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
@@ -147,6 +164,7 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape != Y.shape or X.ndim != 2:
         raise ValueError("X and Y must be matching (samples, dim) arrays")
+    _refuse_empty(X)
     rng = np.random.default_rng(config.seed)
     state = AdamState(store)
     store.zero_grads()
@@ -159,13 +177,13 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
         for sel in _batches(X.shape[0], config.batch_size, rng):
             xb, yb = X[sel], Y[sel]
             tape = ad.Tape()
-            loss, reported, pred = objective(model, store, tape, xb, yb)
+            loss, reported, pred, step = objective(model, store, tape, xb, yb)
             lv = float(ad.value_of(reported))
             if not np.isfinite(ad.value_of(loss)):
                 raise FloatingPointError(f"loss diverged at epoch {epoch}")
             # certificate check against the V that produced this prediction,
             # so it must run before the parameters move
-            violations += _count_violations(model, store, xb, pred)
+            violations += _count_violations(model, store, xb, pred, step)
             tape.backward(loss)
             adam_step(store, state, config.lr)
             model.lyap.clamp(store)
@@ -184,19 +202,33 @@ def _mse(pred, target):
     return ad.mean(ad.mul(diff, diff))
 
 
-def _count_violations(model, store, xb, pred) -> int:
-    """Certificate breaches on this batch, measured on raw values."""
-    slack = 1e-9
+def _count_violations(model, store, X, pred, step) -> int:
+    """Certificate breaches of the certified step X -> pred, on raw values.
+
+    step is the step's StepInfo, or a mixture's MdnOutput, and supplies the
+    V values. A scaling mode breaches where V(pred) > beta*V(x) +
+    rootfind_tol + SLACK, projection where grad V(x).(pred - x) > SLACK.
+    A mixture's V(pred) is its V at the scaled mean. A deterministic step's
+    is V(y) on the rows passed through unchanged (pred is y there, bit for
+    bit) and its v_cert where it has one; the remaining intervening rows get
+    V evaluated here.
+    """
     if model.mode == "none":
         return 0
-    v_x = model.lyap.value(xb, store)
     if model.mode == "projection":
-        gv = model.lyap.grad(xb, store)
-        ascent = (gv * (pred - xb)).sum(axis=-1)
-        return int((ascent > slack).sum())
-    v_p = model.lyap.value(pred, store)
-    bound = model.beta * v_x + model.rootfind_tol + slack
-    return int((v_p > bound).sum())
+        ascent = (step.grad_x * (pred - X)).sum(axis=-1)
+        return int((ascent > SLACK).sum())
+    if isinstance(step, MdnOutput):
+        v_pred = step.v_mu
+    else:
+        v_pred = step.v_y
+        idx = np.flatnonzero(step.intervened)
+        if idx.size:
+            v_pred = v_pred.copy()
+            v_pred[idx] = (model.lyap.value(pred[idx], store) if step.v_cert is None
+                           else step.v_cert)
+    bound = model.beta * step.v_x + model.rootfind_tol + SLACK
+    return int((v_pred > bound).sum())
 
 
 def metric_of(model) -> str:
@@ -204,10 +236,16 @@ def metric_of(model) -> str:
     return "nll" if isinstance(model, StochasticModel) else "mse"
 
 
+def _refuse_empty(X) -> None:
+    if np.shape(X)[:1] == (0,):
+        raise ValueError("X has no rows: the dataset must hold at least one transition")
+
+
 def _evaluate(metric: str, model, store: ad.ParamStore, X, Y) -> float:
     if metric_of(model) != metric:
         raise ValueError(f"{metric} does not score a {type(model).__name__}; "
                          f"use {metric_of(model)}")
+    _refuse_empty(X)
     return float(objective(model, store, None, X, Y)[1])
 
 
@@ -218,11 +256,15 @@ def evaluate_mse(model: StableModel, store: ad.ParamStore,
 
 
 def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
-    """Breaches of the model's own certificate over one pass through X."""
-    X = np.asarray(X, dtype=np.float64)
-    is_mdn = isinstance(model, StochasticModel)
-    pred = mdn_forward(model, store, X).mu_mix if is_mdn else model_step(model, store, X)
-    return _count_violations(model, store, X, pred)
+    """Breaches of the model's own certificate over one pass through X, one
+    state or a (batch, dim) array, for either model kind."""
+    X, _ = as_batch(X, model.dim, "X")
+    if isinstance(model, StochasticModel):
+        step = mdn_forward(model, store, X)
+        pred = step.mu_mix
+    else:
+        pred, step = model_step(model, store, X, want_info=True)
+    return _count_violations(model, store, X, pred, step)
 
 
 def evaluate_nll(model: StochasticModel, store: ad.ParamStore,

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from stabledyn import training
-from stabledyn.autodiff import ParamStore
-from stabledyn.deterministic import make_model, model_step
+from stabledyn import deterministic, training
+from stabledyn.autodiff import ParamStore, Tape
+from stabledyn.deterministic import BACKWARD_ROUTES, make_model, model_step
 from stabledyn.stochastic import make_stochastic_model
 from stabledyn.systems import generate_transitions
-from stabledyn.training import (AdamState, TrainConfig, adam_step,
-                                evaluate_mse, evaluate_nll, train)
+from stabledyn.training import (AdamState, TrainConfig, adam_step, evaluate_mse,
+                                evaluate_nll, evaluate_violations, train)
 
 
 def test_adam_first_step_oracle():
@@ -280,3 +282,186 @@ def test_adam_refuses_a_state_built_for_another_layout(change):
     named = {"reshape": "'v'", "extra": "'z'", "missing": "'M'"}[change]
     with pytest.raises(ValueError, match=named):
         adam_step(store, state, lr=0.1)
+
+
+@pytest.mark.parametrize("field,value", [("epochs", 2.5), ("epochs", 3.0), ("epochs", True),
+                                         ("batch_size", 2.5), ("batch_size", np.float64(4.0)),
+                                         ("batch_size", False), ("batch_size", "8")])
+def test_train_config_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    X, Y = _linear_data(12)
+    model, store = _small_pair()[0]
+    report = train(model, store, X, Y, TrainConfig(epochs=np.int64(2), batch_size=np.int32(5)))
+    assert report.epochs == 2 and len(report.losses) == 2
+
+
+def test_empty_data_is_refused_by_name():
+    (det, det_store), (mix, mix_store) = _small_pair()
+    empty = np.zeros((0, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: train(det, det_store, empty, empty),
+                     lambda: train(mix, mix_store, empty, empty),
+                     lambda: evaluate_mse(det, det_store, empty, empty),
+                     lambda: evaluate_nll(mix, mix_store, empty, empty)):
+            with pytest.raises(ValueError, match="X has no rows"):
+                call()
+
+
+def test_evaluate_violations_takes_the_same_inputs_for_both_model_kinds():
+    x = np.array([1.5, -2.0])
+    for model, store in _small_pair():
+        assert evaluate_violations(model, store, x) == evaluate_violations(model, store, x[None])
+        with pytest.raises(ValueError, match="X must be a state of dimension 2"):
+            evaluate_violations(model, store, np.zeros((3, 5)))
+
+
+# -- the violation count reads the step's own V values -----------------------
+
+TRAIN_PAIRS = [("none", "icnn"), ("convex", "icnn"), ("implicit", "icnn"),
+               ("implicit", "lnn"), ("projection", "icnn")]
+# last-layer scales of fhat (or of the mixture's mean outputs): none of the
+# 40 rows intervenes at the first, some but not all at the second
+NO_PUSH, PUSH = 1e-3, 6.0
+
+
+def _pushed_model(mode, variant, route, scale, **kw):
+    model = make_model(mode, 2, variant, hidden_f=(8, 8), hidden_v=(8, 8),
+                       backward_route=route, **kw)
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(11))
+    last = model.fhat.n_layers - 1
+    store.values[f"f.W{last}"] *= scale
+    store.values[f"f.b{last}"] *= scale
+    return model, store
+
+
+def _pushed_mixture(mode, route, scale):
+    model = make_stochastic_model(mode, 2, "icnn", k=3, hidden_f=(8, 8), hidden_v=(8, 8),
+                                  backward_route=route)
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(11))
+    last, rows = model.trunk.n_layers - 1, model.k * model.dim
+    store.values[f"trunk.W{last}"][:rows] *= scale
+    store.values[f"trunk.b{last}"][:rows] *= scale
+    return model, store
+
+
+def _batch(n=40):
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(n, 2))
+    return X, 0.9 * X
+
+
+def _recount(model, store, X, pred):
+    """Breaches of X -> pred with V evaluated afresh over the whole batch."""
+    if model.mode == "none":
+        return 0
+    v_x = model.lyap.value(X, store)
+    if model.mode == "projection":
+        ascent = (model.lyap.grad(X, store) * (pred - X)).sum(axis=-1)
+        return int((ascent > 1e-9).sum())
+    v_p = model.lyap.value(pred, store)
+    return int((v_p > model.beta * v_x + model.rootfind_tol + 1e-9).sum())
+
+
+def _assert_count_matches_recount(model, store, X, pred, step):
+    count = training._count_violations
+    assert count(model, store, X, pred, step) == _recount(model, store, X, pred)
+    if model.mode == "projection":
+        # the certified step never ascends, so also count the free prediction,
+        # which does on the rows the projection moved
+        free = model.fhat.forward(X, store)
+        assert count(model, store, X, free, step) == _recount(model, store, X, free)
+    elif model.mode != "none":
+        # at the model's own bound nothing breaches; move beta between the
+        # rows' thresholds, so the two counts meet rows on each side of it.
+        # A beta is used only where no row sits within 1e-11 of the bound,
+        # far above the rounding by which the step's V values may differ
+        v_x, v_p = model.lyap.value(X, store), model.lyap.value(pred, store)
+        slack = model.rootfind_tol + 1e-9
+        cut = np.sort((v_p - slack) / v_x)
+        betas = [b for b in (cut[1:] + cut[:-1]) / 2
+                 if np.abs(v_p - b * v_x - slack).min() > 1e-11]
+        assert len(betas) >= 10
+        beta = model.beta
+        try:
+            for b in betas:
+                model.beta = b
+                expected = _recount(model, store, X, pred)
+                assert 0 < expected < X.shape[0]
+                assert count(model, store, X, pred, step) == expected, b
+        finally:
+            model.beta = beta
+
+
+@pytest.mark.parametrize("scale", [NO_PUSH, PUSH])
+@pytest.mark.parametrize("route", BACKWARD_ROUTES)
+@pytest.mark.parametrize("mode,variant", TRAIN_PAIRS)
+def test_count_from_the_step_equals_a_full_batch_recount(mode, variant, route, scale):
+    model, store = _pushed_model(mode, variant, route, scale)
+    X, Y = _batch()
+    tape = Tape()
+    _, _, pred, info = training.objective(model, store, tape, X, Y)
+    raw, raw_info = model_step(model, store, X, want_info=True)
+    hits = int(raw_info.intervened.sum())
+    assert np.array_equal(info.intervened, raw_info.intervened)
+    if mode == "none" or scale == NO_PUSH:
+        assert hits == 0
+    else:
+        assert 0 < hits < X.shape[0]
+    if mode == "implicit" and hits:
+        # the recorded step evaluated V at its certified states; the raw step did not
+        assert info.v_cert.shape == (hits,) and raw_info.v_cert is None
+    _assert_count_matches_recount(model, store, X, pred, info)
+    _assert_count_matches_recount(model, store, X, raw, raw_info)
+    assert evaluate_violations(model, store, X) == _recount(model, store, X, raw)
+
+
+@pytest.mark.parametrize("scale", [NO_PUSH, 5.0])
+@pytest.mark.parametrize("route", BACKWARD_ROUTES)
+@pytest.mark.parametrize("mode", ["convex", "implicit"])
+def test_mixture_count_equals_a_full_batch_recount(mode, route, scale):
+    model, store = _pushed_mixture(mode, route, scale)
+    X, Y = _batch()
+    for tape in (Tape(), None):
+        _, _, pred, out = training.objective(model, store, tape, X, Y)
+        hits = int(out.intervened.sum())
+        assert (hits == 0) if scale == NO_PUSH else (0 < hits < X.shape[0])
+        _assert_count_matches_recount(model, store, X, pred, out)
+    assert evaluate_violations(model, store, X) == _recount(model, store, X, pred)
+
+
+@pytest.mark.parametrize("route", BACKWARD_ROUTES)
+def test_a_planted_breach_is_counted(route, monkeypatch):
+    # a solver that claims convergence at gamma = 1 leaves every intervening
+    # row at its free prediction, above the bound; its residual reads 0
+    def no_solve(lyap, store, Y, target, *args, **kwargs):
+        n = Y.shape[0]
+        return np.ones(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+
+    monkeypatch.setattr(deterministic, "solve_gamma_batch", no_solve)
+    model, store = _pushed_model("implicit", "icnn", route, PUSH, rootfind_tol=1e-10)
+    X, Y = _batch()
+    pred, info = model_step(model, store, X, want_info=True)
+    hits = int(info.intervened.sum())
+    assert hits > 0 and not info.residual.any()
+    assert _recount(model, store, X, pred) == hits
+    assert evaluate_violations(model, store, X) == hits
+    assert train(model, store, X, Y, TrainConfig(epochs=1)).violations == hits
+
+
+@pytest.mark.parametrize("route", BACKWARD_ROUTES)
+@pytest.mark.parametrize("variant", ["icnn", "lnn"])
+def test_every_recorded_node_of_an_implicit_batch_gets_a_gradient(variant, route):
+    model, store = _pushed_model("implicit", variant, route, PUSH)
+    X, Y = _batch()
+    tape = Tape()
+    loss, _, _, info = training.objective(model, store, tape, X, Y)
+    assert 0 < info.intervened.sum() < X.shape[0]
+    tape.backward(loss)
+    idle = [i for i, node in enumerate(tape._nodes) if node.grad is None]
+    assert not idle, f"{len(idle)} of {len(tape._nodes)} nodes got no gradient"
