@@ -19,9 +19,11 @@ Steps are batched over rows; the scalar case is a batch of one. One code
 path, built from the autodiff primitives, certifies every step: on raw
 arrays for inference (model_step) and on a tape for training (step_expr).
 The raw path evaluates V(x) and V(y) in one stacked call for batches of up
-to STACK_ROWS / 2 rows, and builds g(0) once per step (raw_v_pass). Either
-way the step's StepInfo carries the raw V values it computed, so checking
-its certificate needs V again only where the step never evaluated it.
+to STACK_ROWS / 2 rows, and builds g(0) once per step (raw_v_pass). The
+gamma solve walks each intervening row's ray gamma*y (LyapunovNet.ray),
+starting from the V(y) the step holds. Either way the step's StepInfo
+carries the raw V values it computed, so checking its certificate needs V
+again only where the step never evaluated it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .lyapunov import LyapunovNet
+from .lyapunov import LyapunovNet, Ray
 from .nets import Mlp
 
 MODES = ("convex", "implicit", "projection", "none")
@@ -73,8 +75,9 @@ class StepInfo:
     The V fields are what the step evaluated anyway, so a caller can check
     the certificate without evaluating V again (training's violation count).
     v_cert covers only the intervening rows, in row order, and only where the
-    step evaluated V at their certified state: the implicit mode's gradient
-    surrogates do, on a tape; convex mode and the raw path do not (None).
+    step evaluated V at their certified state: implicit mode's gamma solve
+    does, raw or recorded (a row certified to the origin has V = 0 exactly);
+    convex mode's closed form does not (None).
     """
 
     intervened: np.ndarray        # bool (B,)
@@ -163,37 +166,39 @@ def convex_gamma(v_x, v_y, beta: float):
 # ---------------------------------------------------------------------------
 # gamma by root finding
 
-def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
-                      target: np.ndarray, rootfind_tol: float = 1e-3,
-                      max_newton: int = MAX_NEWTON, max_bisect: int = MAX_BISECT,
-                      start=None, g0=None):
+def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
+                      rootfind_tol: float = 1e-3, max_newton: int = MAX_NEWTON,
+                      max_bisect: int = MAX_BISECT):
     """Solve V(gamma_b * Y_b) = target_b rowwise on the bracket [0, 1].
 
-    Assumes V(Y_b) > target_b > 0 for every row, which gives
-    g(0) = -target < 0 < g(1). Newton starts at gamma = 1; a proposal outside
-    the open bracket becomes a bisection step, and every accepted point
-    tightens the bracket using the sign of g. After max_newton Newton steps
-    the iteration continues with bisection alone.
+    ray is V along the rows Y (LyapunovNet.ray), and v is V(Y), which the
+    caller holds already. Assumes V(Y_b) > target_b > 0 for every row, which
+    gives g(0) = -target < 0 < g(1). A row already within rootfind_tol of
+    its target stops at gamma = 1; only the others evaluate dV/dgamma there.
+    Newton starts at gamma = 1; a proposal outside the open bracket becomes
+    a bisection step, and every accepted point tightens the bracket using
+    the sign of g. After max_newton Newton steps the iteration continues
+    with bisection alone. Each iteration is one ray.at on the rows still
+    iterating.
 
-    start, if given, is (V(Y), grad V(Y)) already evaluated, and replaces
-    the solver's own evaluation at gamma = 1; g0, if given, is lyap's g(0)
-    (LyapunovNet.origin), passed to every V call of the solve. Each call of
-    V is then one iteration.
-
-    Returns (gamma, residual, newton_iters, bisect_iters).
+    Returns (gamma, V at gamma, newton_iters, bisect_iters).
     """
-    B = Y.shape[0]
+    B = v.shape[0]
     gamma = np.ones(B)
+    v_out = v.copy()
     n_newton = np.zeros(B, dtype=int)
     n_bisect = np.zeros(B, dtype=int)
 
-    v, gv = lyap.value_and_grad(Y, store, g0=g0) if start is None else start
     g = v - target
-    gp = (gv * Y).sum(axis=-1)
     # the rows still iterating, compacted in their original order; a row's
     # results go back to the full arrays once, when it converges
     rows = np.flatnonzero(np.abs(g) > rootfind_tol)
-    Yc, tc, gc, gpc = Y[rows], target[rows], g[rows], gp[rows]
+    if not rows.size:
+        return gamma, v_out, n_newton, n_bisect
+    if rows.size < B:
+        ray = ray.take(rows)
+    tc, gc = target[rows], g[rows]
+    gpc = ray.at(np.ones(rows.size))[1]
     gam = np.ones(rows.size)
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
     nn = np.zeros(rows.size, dtype=int)
@@ -215,9 +220,8 @@ def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
         nn += ok
         nb += ~ok
 
-        v_c, gv_c = lyap.value_and_grad(gam[:, None] * Yc, store, g0=g0)
+        v_c, gpc = ray.at(gam)
         gc = v_c - tc
-        gpc = (gv_c * Yc).sum(axis=-1)
         above = gc > 0.0
         hi = np.where(above, gam, hi)
         lo = np.where(above, lo, gam)
@@ -226,11 +230,13 @@ def solve_gamma_batch(lyap: LyapunovNet, store: ad.ParamStore, Y: np.ndarray,
         if not going.all():
             done = ~going
             r = rows[done]
-            gamma[r], g[r], n_newton[r], n_bisect[r] = gam[done], gc[done], nn[done], nb[done]
-            rows, Yc, tc, gc, gpc = rows[going], Yc[going], tc[going], gc[going], gpc[going]
+            gamma[r], v_out[r], n_newton[r], n_bisect[r] = gam[done], v_c[done], nn[done], nb[done]
+            rows, tc, gc, gpc = rows[going], tc[going], gc[going], gpc[going]
             gam, lo, hi, nn, nb = gam[going], lo[going], hi[going], nn[going], nb[going]
+            if rows.size:
+                ray = ray.take(going)
 
-    return gamma, np.abs(g), n_newton, n_bisect
+    return gamma, v_out, n_newton, n_bisect
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +266,20 @@ def refuse_non_finite(X):
         raise ValueError(f"a certified step needs finite states; rows {rows.tolist()} are not")
 
 
-def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, grad_y=None, g0=None):
+def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, g0=None):
     """Row-wise scaling factors, 1.0 where V(y) <= beta*V(x) already holds.
 
     model is a StableModel or a StochasticModel; its lyap, mode, beta and
     rootfind_tol define the certificate. Rows whose prediction sits below
     the origin guard are left alone even if they fail the decrease test;
-    they are within rounding of the fixed point. In implicit mode grad_y,
-    if given, is grad V(y) evaluated with v_y, and the gamma solve starts
-    from the intervening rows of both rather than evaluating V at gamma = 1
-    again; g0 goes to the solve's V calls (see solve_gamma_batch).
-    Returns (gamma, intervened, residual, newton_iters, bisect_iters).
+    they are within rounding of the fixed point. In implicit mode the gamma
+    solve walks the intervening rows' rays (LyapunovNet.ray, built with the
+    icnn's g(0) when g0 is given) and starts from their v_y.
+    Returns (gamma, intervened, residual, newton_iters, bisect_iters,
+    v_cert), where residual is |V(gamma*y) - beta*V(x)| on the solved rows
+    and v_cert is StepInfo's: V at the intervening rows' certified states in
+    implicit mode (0 exactly where the row is certified to the origin), None
+    in convex mode.
     """
     B = y.shape[0]
     target = model.beta * v_x
@@ -280,6 +289,7 @@ def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, grad_y=None, g
     n_newton = np.zeros(B, dtype=int)
     n_bisect = np.zeros(B, dtype=int)
     idx = np.flatnonzero(mask)
+    v_cert = None if model.mode == "convex" else np.zeros(idx.size)
     if idx.size:
         solvable = target[idx] > 0.0
         # V(x) = 0 only at x = 0; the certified next state is the origin
@@ -288,11 +298,12 @@ def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, grad_y=None, g
         if rows.size and model.mode == "convex":
             gamma[rows] = convex_gamma(v_x[rows], v_y[rows], model.beta)
         elif rows.size:
-            start = None if grad_y is None else (v_y[rows], grad_y[rows])
-            gamma[rows], residual[rows], n_newton[rows], n_bisect[rows] = solve_gamma_batch(
-                model.lyap, store, y[rows], target[rows], rootfind_tol=model.rootfind_tol,
-                start=start, g0=g0)
-    return gamma, mask, residual, n_newton, n_bisect
+            gamma[rows], v_sol, n_newton[rows], n_bisect[rows] = solve_gamma_batch(
+                model.lyap.ray(y[rows], store, g0), v_y[rows], target[rows],
+                rootfind_tol=model.rootfind_tol)
+            residual[rows] = np.abs(v_sol - target[rows])
+            v_cert[solvable] = v_sol
+    return gamma, mask, residual, n_newton, n_bisect, v_cert
 
 
 def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
@@ -305,20 +316,21 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     gamma; rows left alone carry an exact 1.0. The model's backward_route
     picks the implicit surrogate. V(y) is recorded in convex mode, whose
     closed form differentiates through it, and evaluated raw in implicit
-    mode, where no gradient reads it. A StepInfo passed as info receives the
-    decision and the raw V values (StepInfo).
+    mode, where no gradient reads it and the gamma solve starts from it. A
+    StepInfo passed as info receives the decision and the raw V values
+    (StepInfo).
     """
     y_val = ad.value_of(y)
     if model.mode == "convex":
         v_y = model.lyap.value(y, store, tape)
     else:
         v_y = model.lyap.value(y_val, store)
-    gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
+    gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
         model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))
     if info is not None:
         info.intervened, info.gamma, info.residual = mask, gamma, residual
         info.newton_iters, info.bisect_iters = n_newton, n_bisect
-        info.v_x, info.v_y = ad.value_of(v_x), ad.value_of(v_y)
+        info.v_x, info.v_y, info.v_cert = ad.value_of(v_x), ad.value_of(v_y), v_cert
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return None
@@ -333,21 +345,17 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     else:
         surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
                      else _direct_gamma_node)
-        gam_i, v_cert = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
-        if info is not None:
-            info.v_cert = v_cert
+        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
     return ad.scatter_rows(gam_i, idx, mask.size, fill=1.0)
 
 
 def raw_v_pass(model, store: ad.ParamStore, X, y):
     """The raw certificate's V values, with g(0) built once (LyapunovNet.origin).
 
-    While 2B <= STACK_ROWS, V(X) and V(y) come from one call on the stacked
-    (2B, dim) rows; in implicit mode that call is value_and_grad and grad
-    V(y) comes back as the gamma solve's start (None in convex mode). Above
-    that, V(X) and V(y) come from one value call each, and the solve
-    evaluates its own start on the intervening rows: a full-batch gradient
-    pays only when most rows intervene. Returns (v_x, v_y, grad_y, g0), the
+    While 2B <= STACK_ROWS, V(X) and V(y) come from one value call on the
+    stacked (2B, dim) rows; above that, from one value call each. No mode
+    needs a gradient here: the gamma solve starts from V(y) and evaluates
+    dV/dgamma itself, on the rows that iterate. Returns (v_x, v_y, g0), the
     arguments certified_gamma_raw takes after y; hand g0 on to any further
     raw V call of the same step.
     """
@@ -355,13 +363,9 @@ def raw_v_pass(model, store: ad.ParamStore, X, y):
     lyap = model.lyap
     g0 = lyap.origin(store)
     if 2 * B > STACK_ROWS:
-        return lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0), None, g0
-    XY = np.concatenate([X, y])
-    if model.mode == "implicit":
-        v, gv = lyap.value_and_grad(XY, store, g0=g0)
-        return v[:B], v[B:], gv[B:], g0
-    v = lyap.value(XY, store, g0=g0)
-    return v[:B], v[B:], None, g0
+        return lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0), g0
+    v = lyap.value(np.concatenate([X, y]), store, g0=g0)
+    return v[:B], v[B:], g0
 
 
 def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
@@ -382,10 +386,11 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
         return _projection(model, store, tape, X, y)
 
     if tape is None:
-        v_x, v_y, grad_y, g0 = raw_v_pass(model, store, X, y)
-        gamma, mask, residual, n_newton, n_bisect = certified_gamma_raw(
-            model, store, y, v_x, v_y, grad_y, g0)
-        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y)
+        v_x, v_y, g0 = raw_v_pass(model, store, X, y)
+        gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
+            model, store, y, v_x, v_y, g0)
+        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y,
+                        v_cert=v_cert)
         gamma = gamma if mask.any() else None
     else:
         info = StepInfo(intervened=None)
@@ -479,13 +484,13 @@ def _fixed_point_gamma(model, store, tape, y_i, vx_i, gamma):
 
     The incoming gamma is held constant; at the root dF/dgamma = 0, so
     differentiating this single sweep gives the implicit derivative. The
-    forward value stays the solved gamma. Returns it with the raw V(gamma y).
+    forward value stays the solved gamma.
     """
     p = ad.scale_rows(y_i, gamma)
     v_p, gv_p = model.lyap.value_and_grad(p, store, tape)
     g = ad.sub(v_p, ad.mul(vx_i, model.beta))
     gp = ad.rowdot(gv_p, y_i)
-    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma), ad.value_of(v_p)
+    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)
 
 
 def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
@@ -497,11 +502,10 @@ def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
       dgamma/dtheta_V = -(dV(p)/dtheta - beta dV(x)/dtheta) / (grad V(p)^T y),
     where the V(x) part arrives through the recorded vx_i expression and the
     explicit dV(p)/dtheta term is replayed on a side tape inside backward.
-    Returns the node with the raw V(p).
     """
     Y = ad.value_of(y_i)
     P = gamma[:, None] * Y
-    v_p, gv_p = model.lyap.value_and_grad(P, store)
+    gv_p = model.lyap.grad(P, store)
     denom = (gv_p * Y).sum(axis=-1)
 
     out = ad.Var(gamma, tape)
@@ -516,4 +520,4 @@ def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
         side.backward(root)
 
     out._backward = backward
-    return tape._register(out), v_p
+    return tape._register(out)

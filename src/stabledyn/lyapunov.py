@@ -23,11 +23,17 @@ linear(0, W) is an exact +-0 and adding it changes no bit, so g(0) follows
 from the biases alone: z1 = smooth_relu(b0), z2 = smooth_relu(U1 z1 + b1),
 g(0) = u2 z2 + b2. Both equal, bit for bit, what the full pass on
 np.zeros(dim) returns, and that pass's tape nodes would carry only
-exact-zero gradients. A raw value or value_and_grad call builds g(0)
-itself unless it is given one as g0=; g(0) is built once per raw certified
-step (origin) and passed to its V calls, which changes no bit. A recorded
-call always builds its own, so the tape holds g(0)'s nodes where the
-parameters' gradients need them.
+exact-zero gradients. A raw value or value_and_grad call, or a ray, builds
+g(0) itself unless it is given one as g0=; g(0) is built once per raw
+certified step (origin) and passed to its V calls and its ray, which
+changes no bit. A recorded call always builds its own, so the tape holds
+g(0)'s nodes where the parameters' gradients need them.
+
+Along one ray gamma*Y the input's projections W0 Y (and the icnn's W1 Y and
+w2.Y) and |Y|^2 do not depend on gamma. ray(Y, store) makes them once, and
+its at(gamma) gives V(gamma*Y) with dV/dgamma by pushing one tangent through
+each layer (forward mode), with no reverse sweep: the pair the gamma solve
+iterates on. It serves raw arrays only.
 
 Gradients w.r.t. the input are built as expressions from the
 same primitives, so they can be recorded on a tape and differentiated again
@@ -120,7 +126,8 @@ class LyapunovNet:
         return self._eval(x, store, tape, g0, need_grad=True)
 
     def origin(self, store: ad.ParamStore):
-        """g(0) on raw arrays, to pass as g0= to the raw V calls of one step.
+        """g(0) on raw arrays, to pass as g0= to the raw V calls and the ray of
+        one step.
 
         None for lnn and convex_lnn, whose g(0) is exactly 0 and never built.
         """
@@ -128,6 +135,21 @@ class LyapunovNet:
             return None
         return _icnn_origin(*(store.values[f"{PREFIX}.{n}"]
                               for n in ("b0", "U1", "b1", "u2", "b2")))
+
+    def ray(self, Y, store: ad.ParamStore, g0=None) -> Ray:
+        """V and dV/dgamma along the rays gamma*Y_b of the raw (R, dim) rows Y.
+
+        g0, if given, is the icnn's g(0) (origin).
+        """
+        def P(name):
+            return store.values[f"{PREFIX}.{name}"]
+
+        if self.variant == "icnn":
+            fixed = (Y @ P("W0").T, Y @ P("W1").T, Y @ P("w2")[0])
+            g0 = self.origin(store) if g0 is None else g0
+        else:
+            fixed = (Y @ P("W0").T,)
+        return Ray(self, store, g0, (Y * Y).sum(axis=-1), fixed)
 
     def _eval(self, x, store, tape, g0, need_grad: bool):
         if g0 is not None and tape is not None:
@@ -203,3 +225,67 @@ def _icnn_origin(b0, U1, b1, u2, b2):
     z1_0 = ad.smooth_relu(b0, D)
     z2_0 = ad.smooth_relu(ad.linear(z1_0, U1, b1), D)
     return ad.squeeze_last(ad.linear(z2_0, u2, b2))
+
+
+class Ray:
+    """V(gamma*Y) and dV/dgamma for fixed raw rows Y (LyapunovNet.ray).
+
+    Holds what every gamma shares: the input's projections `fixed` (W0 Y;
+    for the icnn also W1 Y and w2.Y), |Y|^2 as `sq`, and g(0).
+    """
+
+    def __init__(self, lyap: LyapunovNet, store: ad.ParamStore, g0, sq, fixed):
+        self.lyap, self.store, self.g0 = lyap, store, g0
+        self.sq, self.fixed = sq, fixed
+
+    def take(self, rows) -> Ray:
+        """The ray of the rows Y[rows] (an index array or a boolean mask)."""
+        return Ray(self.lyap, self.store, self.g0, self.sq[rows],
+                   tuple(f[rows] for f in self.fixed))
+
+    def at(self, gamma):
+        """(V(gamma_b Y_b), dV/dgamma at gamma_b) for the (R,) factors gamma."""
+        lyap = self.lyap
+
+        def P(name):
+            return self.store.values[f"{PREFIX}.{name}"]
+
+        gc = gamma[:, None]
+        if lyap.variant == "icnn":
+            W0Y, W1Y, w2Y = self.fixed
+            U1, u2 = P("U1"), P("u2")
+            z, dz = _sr_pair(gc * W0Y + P("b0"), W0Y)
+            z, dz = _sr_pair((z @ U1.T + P("b1")) + gc * W1Y, dz @ U1.T + W1Y)
+            excess = ((z @ u2.T + P("b2"))[:, 0] + gamma * w2Y) - self.g0
+            d_excess = (dz @ u2.T)[:, 0] + w2Y
+        else:
+            mlp = lyap._mlp
+            (W0Y,) = self.fixed
+            a, da = gc * W0Y, W0Y
+            for i in range(mlp.n_layers):
+                if i:
+                    W = P(f"W{i}")
+                    a, da = z @ W.T, dz @ W.T
+                if mlp._act_name(i) == "smooth_relu":
+                    z, dz = _sr_pair(a, da)
+                else:
+                    z, dz = a, da
+            excess = (z * z).sum(axis=-1)
+            d_excess = 2.0 * (z * dz).sum(axis=-1)
+        quad = (gamma * gamma * self.sq) * EPSILON
+        d_quad = (2.0 * EPSILON) * gamma * self.sq
+        if lyap.variant != "lnn":
+            excess, d_excess = _sr_pair(excess, d_excess)
+        return excess + quad, d_excess + d_quad
+
+
+def _sr_pair(a, da):
+    """smooth_relu(a) and its tangent for the tangent da of a.
+
+    With the slope s = clip(a/D, 0, 1), smooth_relu(a) = s*(a - s*D/2) on
+    every piece (0; a^2/(2D); a - D/2), so one clip serves both. It equals
+    ad.smooth_relu to rounding, not bit for bit.
+    """
+    s = np.minimum(np.maximum(a / D, 0.0), 1.0)
+    return s * (a - (0.5 * D) * s), s * da
+

@@ -82,8 +82,12 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     state that is not finite raises ValueError; mode "none" passes it through.
     On the raw path (tape None) V(x) and V(mean) come from
     deterministic.raw_v_pass, one stacked call for a batch of up to
-    STACK_ROWS / 2 rows, and V at the scaled mean reuses its g(0). Either
-    way the output carries V(x) and V at the scaled mean as raw arrays.
+    STACK_ROWS / 2 rows, and V at the scaled mean is taken from the step:
+    V(mean) on the rows left alone and the gamma solve's V on the implicit
+    rows it moved. V is evaluated again only on convex mode's moved rows,
+    with the same g(0). The recorded path records V at the scaled mean, which
+    the spreads' gradients need. Either way the output carries V(x) and V at
+    the scaled mean as raw arrays.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
@@ -104,11 +108,10 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
         return MdnOutput(pi=pi, mu=mu, sigma=ad.exp(raw), mu_mix=mu_mix)
 
     if tape is None:
-        v_x, v_y, grad_y, g0 = raw_v_pass(model, store, X, mu_mix)
-        gamma, mask, _, _, _ = certified_gamma_raw(model, store, mu_mix, v_x, v_y, grad_y, g0)
+        v_x, v_mu, g0 = raw_v_pass(model, store, X, mu_mix)
+        gamma, mask, _, _, _, v_cert = certified_gamma_raw(model, store, mu_mix, v_x, v_mu, g0)
         gv = gamma if mask.any() else None
     else:
-        g0 = None
         info = StepInfo(intervened=None)
         gv = certified_gamma_expr(model, store, tape, mu_mix, model.lyap.value(X, store, tape),
                                   info=info)
@@ -119,7 +122,12 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
         mu = ad.mul(mu, scale)
         mu_mix = ad.scale_rows(mu_mix, gv)
 
-    v_mu = model.lyap.value(mu_mix, store, tape, g0=g0)
+    if tape is not None:
+        v_mu = model.lyap.value(mu_mix, store, tape)
+    elif gv is not None:
+        idx = np.flatnonzero(mask)
+        v_mu[idx] = (model.lyap.value(mu_mix[idx], store, g0=g0) if v_cert is None
+                     else v_cert)
     cap = ad.sqrt(ad.mul(v_mu, model.sigma_cap))
     sigma = ad.mul(ad.sigmoid(raw), ad.expand_last(ad.expand_last(cap)))
     return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix, gamma=gamma,

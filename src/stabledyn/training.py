@@ -210,8 +210,8 @@ def _count_violations(model, store, X, pred, step) -> int:
     rootfind_tol + SLACK, projection where grad V(x).(pred - x) > SLACK.
     A mixture's V(pred) is its V at the scaled mean. A deterministic step's
     is V(y) on the rows passed through unchanged (pred is y there, bit for
-    bit) and its v_cert where it has one; the remaining intervening rows get
-    V evaluated here.
+    bit) and its v_cert where it has one, as every implicit step does; the
+    remaining intervening rows, convex mode's, get V evaluated here.
     """
     if model.mode == "none":
         return 0

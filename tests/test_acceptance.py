@@ -114,8 +114,22 @@ def test_02_root_finder_residuals_budgets_and_quadratic_oracle():
     budget = 50 + 60
 
     class QuadV:
-        def value_and_grad(self, Y, store, g0=None):
-            return (Y * Y).sum(axis=-1), 2.0 * Y
+        """V(x) = |x|^2; built with sq = |Y|^2 it is also its own ray along Y."""
+
+        def __init__(self, sq=None):
+            self.sq = sq
+
+        def value(self, Y, store, g0=None):
+            return (Y * Y).sum(axis=-1)
+
+        def ray(self, Y, store, g0=None):
+            return QuadV(self.value(Y, store))
+
+        def take(self, rows):
+            return QuadV(self.sq[rows])
+
+        def at(self, gamma):
+            return gamma * gamma * self.sq, 2.0 * gamma * self.sq
 
     # V(g*y) = g^2*|y|^2 has the closed form g = sqrt(target)/|y|; the
     # solver is run tight so the comparison probes convergence, not the
@@ -125,7 +139,8 @@ def test_02_root_finder_residuals_budgets_and_quadratic_oracle():
     for _ in range(200):
         y = rng.uniform(-4.0, 4.0, size=(1, 2))
         target = np.array([rng.uniform(0.05, 0.95) * float((y * y).sum())])
-        g, _, _, nb = solve_gamma_batch(QuadV(), None, y, target,
+        quad = QuadV()
+        g, _, _, nb = solve_gamma_batch(quad.ray(y, None), quad.value(y, None), target,
                                         rootfind_tol=1e-12)
         exact = np.sqrt(target[0]) / np.linalg.norm(y)
         worst_gap = max(worst_gap, abs(float(g[0]) - exact))

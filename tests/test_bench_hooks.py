@@ -8,6 +8,9 @@ only when the benchmark runs; these tests catch that in the unit suite.
 import gc
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,8 @@ from stabledyn import (autodiff, deterministic, lyapunov, model_io, nets,
 from stabledyn.autodiff import ParamStore
 from stabledyn.deterministic import make_model
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 OWNERS = (autodiff, deterministic, lyapunov, model_io, nets, stochastic, systems,
           training, autodiff.Tape, lyapunov.LyapunovNet, nets.Mlp)
@@ -96,3 +100,17 @@ def test_traced_calls_match_untraced_ones(tracer):
         assert np.array_equal(s_traced.values[name], s_plain.values[name]), name
     assert len(t.start) > 0
     assert t.counts["solve_rows"] and t.counts["intervened_rows"]
+
+
+def test_a_traced_benchmark_run_passes_its_checks():
+    # the whole tracer against the whole library, in the benchmark's own
+    # process: a change in what a hooked call returns fails here, not only
+    # when the benchmark runs
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "rollout",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("FAILED CHECK")]
+    assert json.loads(lines[-1])["correct"] is True

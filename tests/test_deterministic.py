@@ -6,7 +6,7 @@ from stabledyn.autodiff import ParamStore, Tape, grad_check
 from stabledyn.deterministic import (ORIGIN_GUARD, STACK_ROWS, RootFindError,
                                      convex_gamma, make_model, model_step, rollout,
                                      solve_gamma_batch, step_expr)
-from stabledyn.lyapunov import LyapunovNet
+from stabledyn.lyapunov import LyapunovNet, Ray
 
 
 class PolyV:
@@ -15,12 +15,32 @@ class PolyV:
     def __init__(self, c2=1.0, c4=0.0):
         self.c2, self.c4 = c2, c4
 
-    def value_and_grad(self, X, store, tape=None, g0=None):
-        X = np.atleast_2d(X)
+    def value(self, X, store, tape=None, g0=None):
         r2 = (X * X).sum(-1)
-        v = self.c4 * r2 * r2 + self.c2 * r2
-        g = (4.0 * self.c4 * r2 + 2.0 * self.c2)[:, None] * X
-        return v, g
+        return self.c4 * r2 * r2 + self.c2 * r2
+
+    def ray(self, Y, store, g0=None):
+        return PolyRay(self, (Y * Y).sum(-1))
+
+
+class PolyRay:
+    """PolyV along the rays gamma*Y, from r2 = |Y|^2 (LyapunovNet.ray's interface)."""
+
+    def __init__(self, v, r2):
+        self.v, self.r2 = v, r2
+
+    def take(self, rows):
+        return PolyRay(self.v, self.r2[rows])
+
+    def at(self, gamma):
+        s = gamma * gamma * self.r2
+        c2, c4 = self.v.c2, self.v.c4
+        return c4 * s * s + c2 * s, (4.0 * c4 * s + 2.0 * c2) * gamma * self.r2
+
+
+def _solve(lyap, store, Y, target, **kw):
+    """solve_gamma_batch on the rays of Y, started from V(Y)."""
+    return solve_gamma_batch(lyap.ray(Y, store), lyap.value(Y, store), target, **kw)
 
 
 def _fresh(mode, variant, seed=0, expand=None, **kw):
@@ -138,10 +158,10 @@ def test_solver_quadratic_oracle():
     # V = ||x||^2, y = (2, 0), target 0.99: gamma* = sqrt(0.99)/2
     v = PolyV(c2=1.0)
     want = np.sqrt(0.99) / 2.0
-    gamma, res, nn, nb = solve_gamma_batch(v, None, np.array([[2.0, 0.0]]),
-                                           np.array([0.99]), rootfind_tol=1e-9)
+    gamma, v_at, nn, nb = _solve(v, None, np.array([[2.0, 0.0]]), np.array([0.99]),
+                                 rootfind_tol=1e-9)
     assert abs(gamma[0] - want) < 1e-6
-    assert res[0] <= 1e-9
+    assert abs(v_at[0] - 0.99) <= 1e-9
     assert abs(gamma[0] - 0.49749371855331) < 1e-6
     assert nb[0] <= 10
 
@@ -151,16 +171,16 @@ def test_solver_quartic_oracle():
     # 8 g^4 + 4 g^2 - 1.485 = 0, g^2 = (-4 + sqrt(63.52))/16
     v = PolyV(c2=1.0, c4=0.5)
     want = np.sqrt((-4.0 + np.sqrt(63.52)) / 16.0)
-    gamma, res, _, _ = solve_gamma_batch(v, None, np.array([[2.0, 0.0]]),
-                                         np.array([1.485]), rootfind_tol=1e-10)
+    gamma, _, _, _ = _solve(v, None, np.array([[2.0, 0.0]]), np.array([1.485]),
+                            rootfind_tol=1e-10)
     assert abs(gamma[0] - want) < 1e-6
 
 
 def test_solver_budget_exhaustion_carries_bracket():
     v = PolyV()
     with pytest.raises(RootFindError) as exc:
-        solve_gamma_batch(v, None, np.array([[2.0, 0.0]]), np.array([0.99]),
-                          rootfind_tol=1e-14, max_newton=0, max_bisect=3)
+        _solve(v, None, np.array([[2.0, 0.0]]), np.array([0.99]),
+               rootfind_tol=1e-14, max_newton=0, max_bisect=3)
     err = exc.value
     assert err.row == 0
     assert 0.0 <= err.lo < err.hi <= 1.0
@@ -171,7 +191,7 @@ def test_solver_batch_of_mixed_rows():
     v = PolyV()
     Y = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
     T = np.array([0.99, 4.5, 1.0])
-    gamma, res, nn, nb = solve_gamma_batch(v, None, Y, T, rootfind_tol=1e-10)
+    gamma, _, nn, nb = _solve(v, None, Y, T, rootfind_tol=1e-10)
     want = np.sqrt(T / (Y * Y).sum(-1))
     assert np.allclose(gamma, want, atol=1e-8)
     assert np.all(nb <= 10)
@@ -184,15 +204,15 @@ def test_solver_batch_matches_rowwise_solves_exactly():
     Y = np.array([[1.0, 0.5], [2.0, 0.0], [0.3, -1.2], [-1.5, 2.0], [0.8, 0.8],
                   [3.0, 1.0], [-0.4, 0.1]])
     frac = np.array([1.0 - 1e-13, 0.98, 0.6, 0.01, 0.3, 0.001, 0.9])
-    T = v.value_and_grad(Y, None)[0] * frac
+    T = v.value(Y, None) * frac
     kw = dict(rootfind_tol=1e-6, max_newton=2, max_bisect=60)
-    gamma, res, nn, nb = solve_gamma_batch(v, None, Y, T, **kw)
+    gamma, v_at, nn, nb = _solve(v, None, Y, T, **kw)
     assert gamma[0] == 1.0 and nn[0] == 0 and nb[0] == 0
     assert np.any((nn > 0) & (nb == 0)) and np.any(nb > 0)
     for b in range(Y.shape[0]):
-        g1, r1, n1, b1 = solve_gamma_batch(v, None, Y[b:b + 1], T[b:b + 1], **kw)
+        g1, v1, n1, b1 = _solve(v, None, Y[b:b + 1], T[b:b + 1], **kw)
         assert np.array_equal(gamma[b:b + 1], g1), b
-        assert np.array_equal(res[b:b + 1], r1), b
+        assert np.array_equal(v_at[b:b + 1], v1), b
         assert (nn[b], nb[b]) == (n1[0], b1[0]), b
 
 
@@ -204,9 +224,9 @@ def test_solver_stall_names_the_input_row_and_its_own_bracket():
     T = np.array([0.99, 1.0, -1.0, 4.5, -2.0])
     kw = dict(rootfind_tol=1e-10, max_newton=50, max_bisect=20)
     with pytest.raises(RootFindError) as exc:
-        solve_gamma_batch(v, None, Y, T, **kw)
+        _solve(v, None, Y, T, **kw)
     with pytest.raises(RootFindError) as alone:
-        solve_gamma_batch(v, None, Y[2:3], T[2:3], **kw)
+        _solve(v, None, Y[2:3], T[2:3], **kw)
     err, ref = exc.value, alone.value
     assert err.row == 2 and ref.row == 0
     assert (err.lo, err.hi, err.residual) == (ref.lo, ref.hi, ref.residual)
@@ -464,7 +484,7 @@ def _separate_step(model, store, X):
     if model.mode == "convex":
         gamma[rows] = convex_gamma(v_x[rows], v_y[rows], model.beta)
     else:
-        gamma[rows], _, nn[rows], nb[rows] = solve_gamma_batch(
+        gamma[rows], _, nn[rows], nb[rows] = _solve(
             model.lyap, store, y[rows], target[rows], rootfind_tol=model.rootfind_tol)
     return gamma[:, None] * y, mask, nn, nb
 
@@ -484,57 +504,74 @@ def test_raw_step_matches_separate_v_calls_and_a_fresh_solve(mode, variant, expa
     assert np.array_equal(info.bisect_iters, nb)
 
 
+def _count_calls(monkeypatch):
+    """Row counts of every V evaluation (value, grad or value_and_grad) and
+    every ray evaluation from here on, as two lists."""
+    calls, ray_calls = [], []
+    plain_eval, plain_at = LyapunovNet._eval, Ray.at
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape[0])
+        return plain_eval(self, *args, **kwargs)
+
+    def counted_at(self, gamma):
+        ray_calls.append(gamma.shape[0])
+        return plain_at(self, gamma)
+
+    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    monkeypatch.setattr(Ray, "at", counted_at)
+    return calls, ray_calls
+
+
 @pytest.mark.parametrize("batch", [1, 20, 128, 256])
 @pytest.mark.parametrize("mode,variant", _RAW_CASES)
 def test_raw_step_evaluates_v_once_plus_once_per_solver_iteration(monkeypatch, mode,
                                                                   variant, batch):
     model, store = _fresh(mode, variant, seed=5, expand=20.0)
     X = np.random.default_rng(batch).uniform(-6, 6, size=(batch, 2))
-    calls = []
-    plain = LyapunovNet._eval
-
-    def counted(self, *args, **kwargs):
-        calls.append(args[0].shape[0])
-        return plain(self, *args, **kwargs)
-
-    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    calls, ray_calls = _count_calls(monkeypatch)
     _, info = model_step(model, store, X, want_info=True)
-    # the batch solver calls V once per iteration of its slowest row
-    iters = int((info.newton_iters + info.bisect_iters).max())
-    assert mode == "implicit" or iters == 0
-    if 2 * batch <= STACK_ROWS:
-        assert calls[0] == 2 * batch
-        assert len(calls) == 1 + iters
+    # V(X) and V(y) by value calls alone: one on the stacked rows, or two
+    assert calls == ([2 * batch] if 2 * batch <= STACK_ROWS else [batch, batch])
+    # the batch solver walks the rays once per iteration of its slowest row,
+    # after one slope at gamma = 1 on the rows that iterate at all
+    iters = info.newton_iters + info.bisect_iters
+    assert mode == "implicit" or not iters.any()
+    if iters.any():
+        assert ray_calls[0] == int((iters > 0).sum())
+        assert len(ray_calls) == 1 + int(iters.max())
     else:
-        # V(X), V(y), then the solve's own start on the intervening rows
-        solved = int(info.intervened.sum()) if mode == "implicit" else 0
-        want = [batch, batch] + ([solved] if solved else [])
-        assert calls[:len(want)] == want
-        assert len(calls) == len(want) + iters
+        assert ray_calls == []
 
 
-def test_solver_started_from_its_own_first_evaluation_is_bit_identical():
-    v = PolyV(c2=1.0, c4=0.5)
-    Y = np.array([[1.0, 0.5], [2.0, 0.0], [0.3, -1.2], [-1.5, 2.0], [0.8, 0.8]])
-    T = np.array([0.999, 0.98, 0.6, 0.01, 0.3]) * v.value_and_grad(Y, None)[0]
-    plain = solve_gamma_batch(v, None, Y, T, rootfind_tol=1e-10)
-    started = solve_gamma_batch(v, None, Y, T, rootfind_tol=1e-10,
-                                start=v.value_and_grad(Y, None))
-    for a, b in zip(plain, started):
-        assert np.array_equal(a, b)
-
+def test_the_solve_starts_from_the_v_it_is_given(monkeypatch):
+    # a row already within rootfind_tol of its target stops at gamma = 1 with
+    # the V it came with and is never evaluated; so does a row whose given V
+    # says so, whatever the ray would read
     model, store = _fresh("implicit", "icnn", seed=5)
     lyap = model.lyap
     Y = np.random.default_rng(7).uniform(-6, 6, size=(40, 2))
-    T = np.random.default_rng(8).uniform(0.01, 0.99, size=40) * lyap.value(Y, store)
-    plain = solve_gamma_batch(lyap, store, Y, T)
+    v = lyap.value(Y, store)
+    T = np.random.default_rng(8).uniform(0.01, 0.99, size=40) * v
+    T[:5] = v[:5] - 1e-4
+    plain = solve_gamma_batch(lyap.ray(Y, store), v, T)
     assert plain[2].sum() + plain[3].sum() > 0
-    g0 = lyap.origin(store)
-    for started in (solve_gamma_batch(lyap, store, Y, T, start=lyap.value_and_grad(Y, store)),
-                    solve_gamma_batch(lyap, store, Y, T, g0=g0,
-                                      start=lyap.value_and_grad(Y, store, g0=g0))):
-        for a, b in zip(plain, started):
-            assert np.array_equal(a, b)
+    assert np.all(plain[0][:5] == 1.0) and np.array_equal(plain[1][:5], v[:5])
+    _, ray_calls = _count_calls(monkeypatch)
+    told = v.copy()
+    told[5] = T[5]
+    gamma, v_at, nn, nb = solve_gamma_batch(lyap.ray(Y, store), told, T)
+    assert ray_calls[0] == 34 and gamma[5] == 1.0 and v_at[5] == T[5]
+    # the other rows iterate beside one row fewer, which may move the ray's
+    # matmuls in their last bits
+    keep = np.arange(40) != 5
+    np.testing.assert_allclose(gamma[keep], plain[0][keep], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(v_at[keep], plain[1][keep], rtol=1e-12, atol=0.0)
+    assert np.array_equal(nn[keep], plain[2][keep]) and np.array_equal(nb[keep], plain[3][keep])
+    # a ray given g(0) walks the same bits as one that builds its own
+    started = solve_gamma_batch(lyap.ray(Y, store, lyap.origin(store)), v, T)
+    for a, b in zip(plain, started):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 3), (3,), ()])

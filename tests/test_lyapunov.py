@@ -276,3 +276,52 @@ def test_origin_is_built_for_the_icnn_alone_and_serves_raw_calls(variant):
         # a recorded V needs g(0) on its own tape, or the biases lose its gradient
         with pytest.raises(ValueError, match="raw calls only"):
             net.value(np.ones((2, 2)), store, Tape(), g0=g0)
+
+
+# ---------------------------------------------------------------------------
+# V along a ray, by forward mode
+
+_RAY_NETS = [("lnn", (25, 25)), ("convex_lnn", (25, 25)), ("icnn", (7,)),
+             ("icnn", (7, 5)), ("lnn", (9, 7, 5))]
+
+
+@pytest.mark.parametrize("batch", [1, 20, 128, 129, 256])
+@pytest.mark.parametrize("variant,hidden", _RAY_NETS)
+def test_ray_matches_value_and_grad_along_the_ray(variant, hidden, batch):
+    # one row, and batches on each side of the raw V pass's stacking
+    # threshold (STACK_ROWS / 2 = 128 rows)
+    net, store = _fresh(variant, hidden=hidden, seed=3)
+    rng = np.random.default_rng(batch)
+    Y = rng.uniform(-6.0, 6.0, size=(batch, 2))
+    gamma = 1.0 - rng.random(batch)          # in (0, 1]
+    gamma[0] = 1.0
+    v, dv = net.ray(Y, store).at(gamma)
+    want_v, want_g = net.value_and_grad(gamma[:, None] * Y, store)
+    np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dv, (want_g * Y).sum(axis=-1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("variant,hidden", _RAY_NETS)
+def test_a_taken_ray_matches_a_fresh_ray_on_its_rows(variant, hidden):
+    net, store = _fresh(variant, hidden=hidden, seed=4)
+    rng = np.random.default_rng(5)
+    Y = rng.uniform(-6.0, 6.0, size=(40, 2))
+    rows = np.flatnonzero(rng.random(40) < 0.4)
+    gamma = 1.0 - rng.random(rows.size)
+    mask = np.zeros(40, dtype=bool)
+    mask[rows] = True
+    fresh = net.ray(Y[rows], store).at(gamma)
+    # the projections of Y are sliced, not recomputed, so the taken ray's
+    # rows differ from the fresh ray's only by the matmul's batch rounding
+    for taken in (net.ray(Y, store).take(rows), net.ray(Y, store).take(mask)):
+        for a, b in zip(taken.at(gamma), fresh):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+
+
+def test_a_ray_given_g0_changes_no_bit():
+    net, store = _fresh("icnn", hidden=(7, 5), seed=3)
+    Y = np.random.default_rng(4).uniform(-3.0, 3.0, size=(16, 2))
+    gamma = np.linspace(0.1, 1.0, 16)
+    for a, b in zip(net.ray(Y, store).at(gamma),
+                    net.ray(Y, store, net.origin(store)).at(gamma)):
+        assert np.array_equal(a, b)

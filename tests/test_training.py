@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from stabledyn import autodiff as ad
 from stabledyn import deterministic, training
 from stabledyn.autodiff import ParamStore, Tape
 from stabledyn.deterministic import BACKWARD_ROUTES, make_model, model_step
+from stabledyn.lyapunov import LyapunovNet
 from stabledyn.stochastic import make_stochastic_model
 from stabledyn.systems import generate_transitions
 from stabledyn.training import (AdamState, TrainConfig, adam_step, evaluate_mse,
@@ -414,8 +416,8 @@ def test_count_from_the_step_equals_a_full_batch_recount(mode, variant, route, s
     else:
         assert 0 < hits < X.shape[0]
     if mode == "implicit" and hits:
-        # the recorded step evaluated V at its certified states; the raw step did not
-        assert info.v_cert.shape == (hits,) and raw_info.v_cert is None
+        # the gamma solve evaluated V at the certified states, raw and recorded alike
+        assert info.v_cert.shape == raw_info.v_cert.shape == (hits,)
     _assert_count_matches_recount(model, store, X, pred, info)
     _assert_count_matches_recount(model, store, X, raw, raw_info)
     assert evaluate_violations(model, store, X) == _recount(model, store, X, raw)
@@ -435,23 +437,69 @@ def test_mixture_count_equals_a_full_batch_recount(mode, route, scale):
     assert evaluate_violations(model, store, X) == _recount(model, store, X, pred)
 
 
+@pytest.mark.parametrize("kind", ["icnn", "lnn", "mixture"])
+def test_counting_an_implicit_step_evaluates_no_v(kind, monkeypatch):
+    # the step carries V at every row's certified state: V(y) where it left
+    # the row alone, the gamma solve's V where it moved it
+    if kind == "mixture":
+        model, store = _pushed_mixture("implicit", "fixed_point", 5.0)
+    else:
+        model, store = _pushed_model("implicit", kind, "fixed_point", PUSH)
+    X, _ = _batch()
+    pred = (training.mdn_forward(model, store, X).mu_mix if kind == "mixture"
+            else model_step(model, store, X))
+    expected = _recount(model, store, X, pred)
+    calls = []
+    plain = LyapunovNet._eval
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(np.shape(ad.value_of(x))[0])
+        return plain(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    assert evaluate_violations(model, store, X) == expected
+    # one value call on V(X) and V(y) stacked, and none to count
+    assert calls == [2 * X.shape[0]]
+
+
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
 def test_a_planted_breach_is_counted(route, monkeypatch):
-    # a solver that claims convergence at gamma = 1 leaves every intervening
-    # row at its free prediction, above the bound; its residual reads 0
-    def no_solve(lyap, store, Y, target, *args, **kwargs):
-        n = Y.shape[0]
-        return np.ones(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    # a solver that claims convergence at gamma = 1, reporting V there, leaves
+    # every intervening row at its free prediction, above the bound
+    def no_solve(ray, v, target, *args, **kwargs):
+        n = v.shape[0]
+        return np.ones(n), v, np.zeros(n, dtype=int), np.zeros(n, dtype=int)
 
     monkeypatch.setattr(deterministic, "solve_gamma_batch", no_solve)
     model, store = _pushed_model("implicit", "icnn", route, PUSH, rootfind_tol=1e-10)
     X, Y = _batch()
     pred, info = model_step(model, store, X, want_info=True)
     hits = int(info.intervened.sum())
-    assert hits > 0 and not info.residual.any()
+    assert hits > 0 and np.all(info.gamma == 1.0)
     assert _recount(model, store, X, pred) == hits
     assert evaluate_violations(model, store, X) == hits
     assert train(model, store, X, Y, TrainConfig(epochs=1)).violations == hits
+
+
+@pytest.mark.parametrize("route", BACKWARD_ROUTES)
+@pytest.mark.parametrize("variant", ["icnn", "lnn"])
+def test_a_taped_implicit_batch_evaluates_v_of_y_once(variant, route, monkeypatch):
+    # the decision reads V(y) raw, and the gamma solve starts from it rather
+    # than evaluating V again on the intervening rows of y
+    model, store = _pushed_model("implicit", variant, route, PUSH)
+    X, Y = _batch()
+    y_rows = {row.tobytes() for row in model.fhat.forward(X, store)}
+    at_y = []
+    plain = LyapunovNet._eval
+
+    def counted(self, x, *args, **kwargs):
+        at_y.append({row.tobytes() for row in np.atleast_2d(ad.value_of(x))} <= y_rows)
+        return plain(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    _, _, _, info = training.objective(model, store, Tape(), X, Y)
+    assert 0 < info.intervened.sum() < X.shape[0]
+    assert sum(at_y) == 1
 
 
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
