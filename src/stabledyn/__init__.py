@@ -9,8 +9,7 @@ from .lyapunov import LyapunovNet
 from .model_io import load_model, save_model
 from .nets import Mlp
 from .stochastic import (MdnOutput, StochasticModel, make_stochastic_model,
-                         mdn_forward, mdn_mean_step, mdn_nll, mdn_sample,
-                         stochastic_rollout)
+                         mdn_forward, mdn_nll, mdn_sample, stochastic_rollout)
 from .systems import (generate_transitions, load_transitions, save_transitions,
                       simulate, solve_discrete_lyapunov, srk2_step, rk4_step,
                       system_step)
@@ -25,7 +24,7 @@ __all__ = [
     "LyapunovNet", "Mlp",
     "load_model", "save_model",
     "MdnOutput", "StochasticModel", "make_stochastic_model", "mdn_forward",
-    "mdn_mean_step", "mdn_nll", "mdn_sample", "stochastic_rollout",
+    "mdn_nll", "mdn_sample", "stochastic_rollout",
     "generate_transitions", "load_transitions", "save_transitions", "simulate",
     "solve_discrete_lyapunov", "srk2_step", "rk4_step", "system_step",
     "TrainConfig", "TrainReport", "adam_step", "evaluate_mse", "evaluate_nll",

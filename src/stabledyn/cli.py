@@ -316,12 +316,7 @@ def _cmd_eval(args) -> int:
 def _cmd_lyap_solve(args) -> int:
     A, B = args.a, args.b
     Q = np.eye(A.shape[0]) if args.q is None else args.q
-    try:
-        P = solve_discrete_lyapunov(A, B, Q)
-    except np.linalg.LinAlgError as e:
-        # well-formed flags, no certificate: a numeric failure, not usage
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 1
+    P = solve_discrete_lyapunov(A, B, Q)
     Bm = B if isinstance(B, np.ndarray) else float(B) * np.eye(A.shape[0])
     residual = float(np.abs(A.T @ P @ A + Bm.T @ P @ Bm - P + Q).max())
     _emit({"p": P.tolist(), "residual": residual,
@@ -365,19 +360,16 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         args = _apply_config(parser, commands, sys.argv[1:] if argv is None else argv)
+        return _DISPATCH[args.command](args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (RootFindError, FloatingPointError, np.linalg.LinAlgError) as e:
+        # before ValueError, which LinAlgError subclasses: lyap-solve's failure is numeric
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
+    except (ValueError, KeyError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

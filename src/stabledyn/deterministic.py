@@ -70,14 +70,14 @@ class RootFindError(RuntimeError):
 
 @dataclass
 class StepInfo:
-    """Diagnostics for one batched step, and the raw V values it computed.
+    """The report of one batched certified step, a model's or a mixture
+    mean's: its decisions, and the raw V values it computed.
 
     The V fields are what the step evaluated anyway, so a caller can check
     the certificate without evaluating V again (training's violation count).
-    v_cert covers only the intervening rows, in row order, and only where the
-    step evaluated V at their certified state: implicit mode's gamma solve
-    does, raw or recorded (a row certified to the origin has V = 0 exactly);
-    convex mode's closed form does not (None).
+    v_cert covers only the intervening rows, in row order: V at their
+    certified states from the gamma solve (V = 0 exactly at the origin) or
+    a mixture's sigma tether, else None until v_certified evaluates it.
     """
 
     intervened: np.ndarray        # bool (B,)
@@ -89,6 +89,19 @@ class StepInfo:
     v_y: np.ndarray | None = None         # (B,) V at the free prediction y, scaling modes only
     grad_x: np.ndarray | None = None      # (B, n) grad V(x), projection mode only
     v_cert: np.ndarray | None = None      # V at the intervening rows' certified states
+
+    def v_certified(self, lyap: LyapunovNet, store: ad.ParamStore, states, g0=None):
+        """V at the raw certified states (B,): v_y on the rows left alone,
+        which pass y through bit for bit, and v_cert on the moved rows. A
+        missing v_cert is evaluated (with g0 as the icnn's g(0)) and kept."""
+        idx = np.flatnonzero(self.intervened)
+        if not idx.size:
+            return self.v_y
+        if self.v_cert is None:
+            self.v_cert = lyap.value(states[idx], store, g0=g0)
+        v = self.v_y.copy()
+        v[idx] = self.v_cert
+        return v
 
 
 @dataclass
@@ -307,7 +320,7 @@ def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, g0=None):
 
 
 def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
-                         info: StepInfo | None = None):
+                         info: StepInfo):
     """Recorded (B,) scaling factors, or None when no row intervenes.
 
     certified_gamma_raw makes the decision on raw values: which rows
@@ -316,9 +329,8 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     gamma; rows left alone carry an exact 1.0. The model's backward_route
     picks the implicit surrogate. V(y) is recorded in convex mode, whose
     closed form differentiates through it, and evaluated raw in implicit
-    mode, where no gradient reads it and the gamma solve starts from it. A
-    StepInfo passed as info receives the decision and the raw V values
-    (StepInfo).
+    mode, where no gradient reads it and the gamma solve starts from it.
+    info receives the decision and the raw V values (StepInfo).
     """
     y_val = ad.value_of(y)
     if model.mode == "convex":
@@ -327,10 +339,9 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
         v_y = model.lyap.value(y_val, store)
     gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
         model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))
-    if info is not None:
-        info.intervened, info.gamma, info.residual = mask, gamma, residual
-        info.newton_iters, info.bisect_iters = n_newton, n_bisect
-        info.v_x, info.v_y, info.v_cert = ad.value_of(v_x), ad.value_of(v_y), v_cert
+    info.intervened, info.gamma, info.residual = mask, gamma, residual
+    info.newton_iters, info.bisect_iters = n_newton, n_bisect
+    info.v_x, info.v_y, info.v_cert = ad.value_of(v_x), ad.value_of(v_y), v_cert
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return None

@@ -23,11 +23,11 @@ linear(0, W) is an exact +-0 and adding it changes no bit, so g(0) follows
 from the biases alone: z1 = smooth_relu(b0), z2 = smooth_relu(U1 z1 + b1),
 g(0) = u2 z2 + b2. Both equal, bit for bit, what the full pass on
 np.zeros(dim) returns, and that pass's tape nodes would carry only
-exact-zero gradients. A raw value or value_and_grad call, or a ray, builds
-g(0) itself unless it is given one as g0=; g(0) is built once per raw
-certified step (origin) and passed to its V calls and its ray, which
-changes no bit. A recorded call always builds its own, so the tape holds
-g(0)'s nodes where the parameters' gradients need them.
+exact-zero gradients. A raw value call, or a ray, builds g(0) itself
+unless it is given one as g0=; g(0) is built once per raw certified step
+(origin) and passed to its V calls and its ray, which changes no bit. A
+recorded call always builds its own, so the tape holds g(0)'s nodes where
+the parameters' gradients need them.
 
 Along one ray gamma*Y the input's projections W0 Y (and the icnn's W1 Y and
 w2.Y) and |Y|^2 do not depend on gamma. ray(Y, store) makes them once, and
@@ -121,9 +121,8 @@ class LyapunovNet:
     def grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
         return self._eval(x, store, tape, None, need_grad=True)[1]
 
-    def value_and_grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None, *,
-                       g0=None):
-        return self._eval(x, store, tape, g0, need_grad=True)
+    def value_and_grad(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
+        return self._eval(x, store, tape, None, need_grad=True)
 
     def origin(self, store: ad.ParamStore):
         """g(0) on raw arrays, to pass as g0= to the raw V calls and the ray of

@@ -42,16 +42,19 @@ def save_model(path, model, store: ParamStore) -> None:
 def load_model(path):
     """Rebuild (model, store) from a saved file.
 
-    Raises ValueError when a setting is missing, or the saved parameters do
-    not match, by name and shape, the architecture the file describes.
+    Raises ValueError when the file is not a model's JSON object, or its
+    parameters do not match, by name and shape, the architecture it describes.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file holds one JSON object, not a {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    cls = KINDS.get(doc["kind"])
+    kind = doc.get("kind")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown model kind {doc['kind']!r}")
+        raise ValueError(f"model kind must be one of {list(KINDS)}, got {kind!r}")
     for key, value in FIXED.items():
         if doc.get(key, value) != value:
             raise ValueError(f"{key} = {doc[key]!r} is not supported; it is fixed at {value}")
@@ -60,9 +63,15 @@ def load_model(path):
         raise ValueError(f"saved model lacks settings {missing}")
     model = cls(**{f.name: doc[f.name] for f in fields(cls)})
 
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"saved params must map names to arrays, not {type(params).__name__}")
     store = ParamStore()
-    for name, vals in doc["params"].items():
-        store.add(name, np.asarray(vals, dtype=np.float64))
+    for name, vals in params.items():
+        try:
+            store.add(name, np.asarray(vals, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {name!r} is not a numeric array") from None
     _check_params(model, store)
     return model, store
 

@@ -64,12 +64,7 @@ class MdnOutput:
     mu: object          # (B, k, n) component means, after any scaling
     sigma: object       # (B, k, n) per-dimension standard deviations
     mu_mix: object      # (B, n) mixture mean, after any scaling
-    gamma: np.ndarray | None = None
-    intervened: np.ndarray | None = None
-    # raw V values the forward computed, stabilized modes only: V(x), and V
-    # at the scaled mixture mean (the one the spreads are tethered to)
-    v_x: np.ndarray | None = None       # (B,)
-    v_mu: np.ndarray | None = None      # (B,)
+    info: StepInfo | None = None    # the mean's certified step; mdn_forward sets it
 
 
 def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
@@ -80,14 +75,13 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     decrease target beta*V(x) and every spread is tied to V at that scaled
     mean, so the covariance shrinks together with the mean dynamics. There a
     state that is not finite raises ValueError; mode "none" passes it through.
-    On the raw path (tape None) V(x) and V(mean) come from
+    info is the StepInfo of the certified step x -> scaled mean; mode "none"
+    moves no row. On the raw path (tape None) V(x) and V(mean) come from
     deterministic.raw_v_pass, one stacked call for a batch of up to
-    STACK_ROWS / 2 rows, and V at the scaled mean is taken from the step:
-    V(mean) on the rows left alone and the gamma solve's V on the implicit
-    rows it moved. V is evaluated again only on convex mode's moved rows,
-    with the same g(0). The recorded path records V at the scaled mean, which
-    the spreads' gradients need. Either way the output carries V(x) and V at
-    the scaled mean as raw arrays.
+    STACK_ROWS / 2 rows, and the spreads are tethered to the step's own V at
+    the scaled mean (StepInfo.v_certified), which evaluates V only on convex
+    mode's moved rows. The recorded path records V at the scaled mean, which
+    the spreads' gradients need. Either way info.v_cert is the tether's V.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
@@ -105,33 +99,34 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     mu_mix = ad.sum_axis(ad.mul(ad.expand_last(pi), mu), -2)
 
     if model.mode == "none":
-        return MdnOutput(pi=pi, mu=mu, sigma=ad.exp(raw), mu_mix=mu_mix)
+        return MdnOutput(pi=pi, mu=mu, sigma=ad.exp(raw), mu_mix=mu_mix,
+                         info=StepInfo(intervened=np.zeros(B, dtype=bool)))
 
     if tape is None:
-        v_x, v_mu, g0 = raw_v_pass(model, store, X, mu_mix)
-        gamma, mask, _, _, _, v_cert = certified_gamma_raw(model, store, mu_mix, v_x, v_mu, g0)
+        v_x, v_y, g0 = raw_v_pass(model, store, X, mu_mix)
+        gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
+            model, store, mu_mix, v_x, v_y, g0)
+        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y,
+                        v_cert=v_cert)
         gv = gamma if mask.any() else None
     else:
         info = StepInfo(intervened=None)
         gv = certified_gamma_expr(model, store, tape, mu_mix, model.lyap.value(X, store, tape),
                                   info=info)
-        gamma, mask, v_x = info.gamma, info.intervened, info.v_x
 
     if gv is not None:
         scale = ad.expand_last(ad.expand_last(gv))
         mu = ad.mul(mu, scale)
         mu_mix = ad.scale_rows(mu_mix, gv)
 
-    if tape is not None:
+    if tape is None:
+        v_mu = info.v_certified(model.lyap, store, mu_mix, g0)
+    else:
         v_mu = model.lyap.value(mu_mix, store, tape)
-    elif gv is not None:
-        idx = np.flatnonzero(mask)
-        v_mu[idx] = (model.lyap.value(mu_mix[idx], store, g0=g0) if v_cert is None
-                     else v_cert)
+        info.v_cert = ad.value_of(v_mu)[info.intervened]
     cap = ad.sqrt(ad.mul(v_mu, model.sigma_cap))
     sigma = ad.mul(ad.sigmoid(raw), ad.expand_last(ad.expand_last(cap)))
-    return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix, gamma=gamma,
-                     intervened=mask, v_x=v_x, v_mu=ad.value_of(v_mu))
+    return MdnOutput(pi=pi, mu=mu, sigma=sigma, mu_mix=mu_mix, info=info)
 
 
 def mdn_nll(out: MdnOutput, y) -> object:
@@ -167,13 +162,6 @@ def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
     return sample[0] if single else sample
 
 
-def mdn_mean_step(model: StochasticModel, store: ad.ParamStore, x) -> np.ndarray:
-    """The mixture mean at a batch of states, as a plain next-state map."""
-    X, single = as_batch(x, model.dim)
-    m = mdn_forward(model, store, X).mu_mix
-    return m[0] if single else m
-
-
 def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
                        steps: int, paths: int, rng: np.random.Generator):
     """Sampled trajectories plus the mean path from one start.
@@ -182,9 +170,9 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     drawn from the mixture at each step; means has shape (steps+1, n) and
     feeds the mixture mean back as the state with no sampling. Each step is
     one mdn_forward on the paths' states with the mean path's state as the
-    last row, so the mean path agrees with iterating mdn_mean_step to
-    rounding, not bit for bit (a state's forward can change in its last bits
-    with the rows batched beside it). A start that is not finite raises
+    last row, so the mean path agrees with iterating one state's forward
+    to rounding, not bit for bit (a state's forward can change in its last
+    bits with the rows batched beside it). A start that is not finite raises
     ValueError.
     """
     if steps < 0:

@@ -326,14 +326,27 @@ def save_transitions(path, X: np.ndarray, Y: np.ndarray, meta: dict) -> None:
 
 
 def load_transitions(path):
+    """(X, Y, meta) from save_transitions' files. A header other than
+    x1..xn,y1..yn, or a row without 2n numbers, raises ValueError naming it."""
     path = Path(path)
     with path.open() as fh:
         r = csv.reader(fh)
-        header = next(r)
-        rows = np.array([[float(v) for v in row] for row in r])
+        header = next(r, [])
+        n = len(header) // 2
+        if n < 1 or header != [f"{c}{i+1}" for c in "xy" for i in range(n)]:
+            raise ValueError(f"{path} line 1: need the header x1..xn,y1..yn, "
+                             f"got {','.join(header)!r}")
+        rows = []
+        for row in r:
+            try:
+                if len(row) != 2 * n:
+                    raise ValueError(f"{len(row)} values, the header names {2 * n}")
+                rows.append([float(v) for v in row])
+            except ValueError as e:
+                raise ValueError(f"{path} line {r.line_num}: {e}") from None
+    rows = np.array(rows)
     if rows.size == 0:
         raise ValueError(f"{path} holds no transition rows")
-    n = sum(1 for c in header if c.startswith("x"))
     meta = {}
     side = path.with_suffix(".json")
     if side.exists():

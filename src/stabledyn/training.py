@@ -4,10 +4,9 @@ One tape per batch, one reverse sweep, clamp any constrained V weights,
 zero the gradients, repeat. The loop also counts certificate violations on
 the raw predictions as it goes; for the scaling modes that count staying at
 zero is the whole point. The count reads the V values the certified step
-already computed (its StepInfo, or a mixture's MdnOutput): V(x), V(y) on
-the rows the step passed through, V at the certified state where the step
-evaluated it, and grad V(x) in projection mode. V is evaluated again only
-on the rows the step moved without evaluating V there.
+already computed (its StepInfo, a mixture's being its mean's): V(x), V at
+the certified states (StepInfo.v_certified, which evaluates V only where
+nothing did), and grad V(x) in projection mode.
 
 `objective` scores a batch for training, evaluation and gradient checks
 alike: a mixture's NLL, or the MSE of a deterministic model's certified
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .deterministic import StableModel, as_batch, model_step, step_expr
-from .stochastic import MdnOutput, StochasticModel, mdn_forward, mdn_nll
+from .stochastic import StochasticModel, mdn_forward, mdn_nll
 
 
 # Adam's moment decay rates and denominator guard
@@ -141,13 +140,13 @@ def objective(model, store: ad.ParamStore, tape: ad.Tape | None, X, Y):
     one batch.
 
     With tape None it runs raw; the prediction is always a raw array. The
-    step report is the step's StepInfo, or a mixture's MdnOutput: what
-    _count_violations reads.
+    step report is the certified step's StepInfo, a mixture's being its
+    mean's: what _count_violations reads.
     """
     if isinstance(model, StochasticModel):
         out = mdn_forward(model, store, X, tape)
         loss = mdn_nll(out, Y)
-        return loss, loss, ad.value_of(out.mu_mix), out
+        return loss, loss, ad.value_of(out.mu_mix), out.info
     pred, free, info = step_expr(model, store, tape, X, want_parts=True)
     reported = loss = _mse(pred, Y)
     if model.mode == "implicit":
@@ -205,28 +204,16 @@ def _mse(pred, target):
 def _count_violations(model, store, X, pred, step) -> int:
     """Certificate breaches of the certified step X -> pred, on raw values.
 
-    step is the step's StepInfo, or a mixture's MdnOutput, and supplies the
-    V values. A scaling mode breaches where V(pred) > beta*V(x) +
-    rootfind_tol + SLACK, projection where grad V(x).(pred - x) > SLACK.
-    A mixture's V(pred) is its V at the scaled mean. A deterministic step's
-    is V(y) on the rows passed through unchanged (pred is y there, bit for
-    bit) and its v_cert where it has one, as every implicit step does; the
-    remaining intervening rows, convex mode's, get V evaluated here.
+    step is the step's StepInfo, which supplies the V values. A scaling mode
+    breaches where V(pred) > beta*V(x) + rootfind_tol + SLACK, with V(pred)
+    from StepInfo.v_certified; projection where grad V(x).(pred - x) > SLACK.
     """
     if model.mode == "none":
         return 0
     if model.mode == "projection":
         ascent = (step.grad_x * (pred - X)).sum(axis=-1)
         return int((ascent > SLACK).sum())
-    if isinstance(step, MdnOutput):
-        v_pred = step.v_mu
-    else:
-        v_pred = step.v_y
-        idx = np.flatnonzero(step.intervened)
-        if idx.size:
-            v_pred = v_pred.copy()
-            v_pred[idx] = (model.lyap.value(pred[idx], store) if step.v_cert is None
-                           else step.v_cert)
+    v_pred = step.v_certified(model.lyap, store, pred)
     bound = model.beta * step.v_x + model.rootfind_tol + SLACK
     return int((v_pred > bound).sum())
 
@@ -260,8 +247,8 @@ def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
     state or a (batch, dim) array, for either model kind."""
     X, _ = as_batch(X, model.dim, "X")
     if isinstance(model, StochasticModel):
-        step = mdn_forward(model, store, X)
-        pred = step.mu_mix
+        out = mdn_forward(model, store, X)
+        pred, step = out.mu_mix, out.info
     else:
         pred, step = model_step(model, store, X, want_info=True)
     return _count_violations(model, store, X, pred, step)

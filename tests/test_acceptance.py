@@ -270,7 +270,7 @@ def test_05_mixture_invariants_on_random_stabilized_models():
         X = rng.uniform(-6.0, 6.0, size=(15, 2))
         out = mdn_forward(model, store, X)
         rows += X.shape[0]
-        interventions += int(out.intervened.sum())
+        interventions += int(out.info.intervened.sum())
         if np.any(out.pi < 0) or np.any(np.abs(out.pi.sum(axis=-1) - 1.0) > 1e-12):
             bad += 1
         v_x = model.lyap.value(X, store)

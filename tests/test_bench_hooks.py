@@ -20,6 +20,7 @@ from stabledyn import (autodiff, deterministic, lyapunov, model_io, nets,
                        stochastic, systems, training)
 from stabledyn.autodiff import ParamStore
 from stabledyn.deterministic import make_model
+from stabledyn.stochastic import make_stochastic_model
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -101,13 +102,26 @@ def test_traced_calls_match_untraced_ones(tracer):
     assert len(t.start) > 0
     assert t.counts["solve_rows"] and t.counts["intervened_rows"]
 
+    # a mixture's forward decides every row once, under stochastic's own names
+    mdn = make_stochastic_model("implicit", 2, "icnn", k=2, hidden_f=(6,), hidden_v=(5,))
+    mstore = ParamStore()
+    mdn.init_params(mstore, np.random.default_rng(2))
+    t.active = True
+    for tape in (None, autodiff.Tape()):
+        before = sum(t.counts["decided_rows"].values())
+        stochastic.mdn_forward(mdn, mstore, X, tape)
+        assert sum(t.counts["decided_rows"].values()) == before + X.shape[0]
+    t.active = False
 
-def test_a_traced_benchmark_run_passes_its_checks():
+
+@pytest.mark.parametrize("workload", ["rollout", "mixture"])
+def test_a_traced_benchmark_run_passes_its_checks(workload):
     # the whole tracer against the whole library, in the benchmark's own
     # process: a change in what a hooked call returns fails here, not only
-    # when the benchmark runs
+    # when the benchmark runs. Only a mixture run reaches the mixture head,
+    # the sigma tether and sampling
     run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "rollout",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]

@@ -430,6 +430,39 @@ def test_counts_out_of_range_are_refused_by_name(tmp_path, capsys, argv, name):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("command", ["rollout", "eval"])
+@pytest.mark.parametrize("doc, name", [([1, 2], "not a list"),
+                                       ({"format_version": 1}, "kind must be one of")])
+def test_a_malformed_model_file_is_refused_by_name(tmp_path, capsys, command, doc, name):
+    data, _ = _gen(tmp_path, capsys)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    argv = {"rollout": f"rollout --model-file {model} --x0 1,1 --out {tmp_path / 'r.csv'}",
+            "eval": f"eval --model-file {model} --data {data}"}[command]
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert name in captured.err and "Traceback" not in captured.err
+
+
+def test_an_output_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # --out naming a directory: the command's OSError exits 2, as a missing
+    # input file does, not with a traceback
+    code = main(["gen", "--system", "linear", "--out", str(tmp_path), "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:") and not captured.out
+
+
+def test_eval_refuses_data_whose_rows_the_header_does_not_name(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    _, _, model = _train(tmp_path, capsys, data)
+    short = tmp_path / "short.csv"
+    short.write_text("x1,x2,y1,y2\n1,2,3\n")
+    code = main(["eval", "--model-file", str(model), "--data", str(short)])
+    err = capsys.readouterr().err
+    assert code == 2 and "line 2: 3 values" in err
+
+
 def test_eval_refuses_data_of_another_dimension(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     _, _, model = _train(tmp_path, capsys, data)

@@ -212,3 +212,22 @@ def test_solver_budgets_from_older_files(tmp_path):
         p.write_text(json.dumps(other))
         with pytest.raises(ValueError, match=key):
             load_model(p)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: [1, 2], "one JSON object, not a list"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "kind"}, "kind must be one of"),
+    (lambda doc: dict(doc, kind=["mdn"]), r"kind must be one of .*got \['mdn'\]"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "params must map"),
+    (lambda doc: dict(doc, params=[1]), "params must map names to arrays, not list"),
+    (lambda doc: dict(doc, params={**doc["params"], "f.W0": {"a": 1}}),
+     "'f.W0' is not a numeric array"),
+    (lambda doc: dict(doc, params={**doc["params"], "f.W0": "abc"}),
+     "'f.W0' is not a numeric array"),
+], ids=["list", "no-kind", "list-kind", "no-params", "list-params", "object-param",
+        "text-param"])
+def test_a_malformed_file_is_refused_by_name(tmp_path, edit, match):
+    p, doc = _saved_doc(tmp_path)
+    p.write_text(json.dumps(edit(doc)))
+    with pytest.raises(ValueError, match=match):
+        load_model(p)

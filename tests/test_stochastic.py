@@ -4,8 +4,8 @@ import pytest
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
 from stabledyn.stochastic import (MdnOutput, make_stochastic_model,
-                                  mdn_forward, mdn_mean_step, mdn_nll,
-                                  mdn_sample, stochastic_rollout)
+                                  mdn_forward, mdn_nll, mdn_sample,
+                                  stochastic_rollout)
 
 
 def _fresh(mode, variant, k=3, seed=0, push=1.0, **kw):
@@ -113,7 +113,7 @@ def test_stabilized_invariants(mode, variant):
         v_mu = model.lyap.value(out.mu_mix, store)
         assert np.all(v_mu <= model.beta * v_x + model.rootfind_tol + 1e-12)
         assert np.all(out.sigma ** 2 <= model.sigma_cap * v_mu[:, None, None] + 1e-12)
-        interventions += int(out.intervened.sum())
+        interventions += int(out.info.intervened.sum())
     assert interventions > 20
 
 
@@ -121,11 +121,11 @@ def test_common_gamma_scales_every_component():
     model, store = _fresh("convex", "icnn", seed=3, push=30.0)
     X = np.random.default_rng(5).uniform(-0.5, 0.5, size=(10, 2))
     out = mdn_forward(model, store, X)
-    assert out.intervened.any()
+    assert out.info.intervened.any()
     # recompute the free means and compare ratios componentwise
     h = model.trunk.forward(X, store)
     mu_free = h[:, :model.k * 2].reshape(10, model.k, 2)
-    assert np.allclose(out.mu, out.gamma[:, None, None] * mu_free, rtol=1e-12)
+    assert np.allclose(out.mu, out.info.gamma[:, None, None] * mu_free, rtol=1e-12)
 
 
 def test_variance_tether_holds_on_the_training_tape():
@@ -133,7 +133,7 @@ def test_variance_tether_holds_on_the_training_tape():
     X = np.random.default_rng(6).uniform(-6, 6, size=(8, 2))
     tape = Tape()
     out = mdn_forward(model, store, X, tape)
-    assert out.intervened.any()
+    assert out.info.intervened.any()
     sig = ad.value_of(out.sigma)
     v_mu = model.lyap.value(ad.value_of(out.mu_mix), store)
     assert np.all(sig ** 2 <= model.sigma_cap * v_mu[:, None, None] + 1e-12)
@@ -155,19 +155,26 @@ def test_recorded_forward_matches_raw_forward(mode, variant, route):
     # the recorded one to its own V at the scaled mean: V moves in its last
     # bits with the rows batched beside it, so the spreads agree to rounding
     np.testing.assert_allclose(raw.sigma, ad.value_of(rec.sigma), rtol=1e-13, atol=0.0)
+    # both report the mean's step in one StepInfo: the same decisions, and
+    # V at the certified states (the tether's) to rounding
+    raw, rec = raw.info, rec.info
+    assert np.array_equal(raw.intervened, rec.intervened)
     if mode == "none":
-        assert rec.gamma is None and rec.intervened is None
-    else:
-        assert 0 < raw.intervened.sum() < X.shape[0]
-        assert np.array_equal(raw.gamma, rec.gamma)
-        assert np.array_equal(raw.intervened, rec.intervened)
+        assert not raw.intervened.any() and raw.gamma is None and rec.gamma is None
+        return
+    assert 0 < raw.intervened.sum() < X.shape[0]
+    for name in ("gamma", "newton_iters", "bisect_iters"):
+        assert np.array_equal(getattr(raw, name), getattr(rec, name)), name
+    np.testing.assert_allclose(raw.residual, rec.residual, rtol=0.0, atol=1e-14)
+    assert raw.v_cert.shape == rec.v_cert.shape == (raw.intervened.sum(),)
+    np.testing.assert_allclose(raw.v_cert, rec.v_cert, rtol=1e-13, atol=0.0)
 
 
 def test_baseline_skips_the_machinery():
     model, store = _fresh("none", "icnn", seed=4, push=15.0)
     X = np.random.default_rng(7).uniform(-6, 6, size=(10, 2))
     out = mdn_forward(model, store, X)
-    assert out.gamma is None and out.intervened is None
+    assert out.info.gamma is None and not out.info.intervened.any()
     # spreads are free: exp of the raw trunk half
     h = model.trunk.forward(X, store)
     raw = h[:, model.k * 2:].reshape(10, model.k, 2)
@@ -205,10 +212,10 @@ def test_stochastic_rollout_shapes_and_mean_path():
     # each step is one forward on the paths' states, the mean path's state last
     assert np.array_equal(
         means[1], mdn_forward(model, store, np.vstack([traj[:, 0], means[:1]])).mu_mix[-1])
-    # mdn_mean_step evaluates a batch of one, and a state's forward can change
-    # in its last bits with the rows beside it (CHANGES.md, FOUND: V of a
-    # state depends on the batch it is evaluated in)
-    np.testing.assert_allclose(means[1], mdn_mean_step(model, store, np.array([4.0, -4.0])),
+    # a batch of one agrees to rounding: a state's forward can change in its
+    # last bits with the rows beside it (CHANGES.md, FOUND: V of a state
+    # depends on the batch it is evaluated in)
+    np.testing.assert_allclose(means[1], mdn_forward(model, store, [[4.0, -4.0]]).mu_mix[0],
                                rtol=1e-12)
 
 
@@ -223,7 +230,7 @@ def test_stochastic_rollout_keeps_the_random_stream(mode, variant):
     cur, m = np.tile(x0, (4, 1)), x0
     for t in range(10):
         cur = mdn_sample(model, store, cur, rng)
-        m = mdn_mean_step(model, store, m)
+        m = mdn_forward(model, store, m[None]).mu_mix[0]
         np.testing.assert_allclose(traj[:, t + 1], cur, rtol=0, atol=1e-12)
         np.testing.assert_allclose(means[t + 1], m, rtol=0, atol=1e-12)
 
@@ -273,7 +280,7 @@ def test_nll_gradients_match_finite_differences(mode, variant):
     X = rng.uniform(1.0, 3.0, size=(6, 2)) * rng.choice([-1.0, 1.0], size=(6, 2))
     Y = rng.uniform(-1, 1, size=(6, 2))
     out = mdn_forward(model, store, X)
-    assert out.intervened.any()
+    assert out.info.intervened.any()
 
     def f(params, tape):
         o = mdn_forward(model, params, X, tape)

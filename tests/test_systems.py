@@ -276,6 +276,22 @@ def test_saved_transitions_round_trip_bit_exactly(tmp_path):
     assert meta2 == meta
 
 
+@pytest.mark.parametrize("text, match", [
+    ("", "line 1: need the header"),
+    ("x1,y1,x2,y2\n1,2,3,4\n", "line 1: need the header"),
+    ("x1,x2,y1,y2\n1,2,3\n", "line 2: 3 values, the header names 4"),
+    ("x1,x2,y1,y2\n1,2,3,4,5\n", "line 2: 5 values, the header names 4"),
+    ("x1,x2,y1,y2\n1,2,3,4\n1,2,3,4\n1,2,3\n", "line 4: 3 values"),
+    ("x1,x2,y1,y2\n1,2,3,four\n", "line 2: could not convert"),
+    ("x1,x2,y1,y2\n", "holds no transition rows"),
+], ids=["empty", "header-order", "short-row", "long-row", "ragged", "text", "no-rows"])
+def test_a_malformed_transitions_file_is_refused_by_line(tmp_path, text, match):
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_transitions(p)
+
+
 def test_linear_stoch_is_the_linear_map_with_its_own_gain():
     X, Y, meta = generate_transitions("linear-stoch", seed=4, steps=5, grid_points=3)
     X2, Y2, meta2 = generate_transitions("linear", seed=4, steps=5, grid_points=3, b=0.1)

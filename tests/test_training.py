@@ -437,6 +437,19 @@ def test_mixture_count_equals_a_full_batch_recount(mode, route, scale):
     assert evaluate_violations(model, store, X) == _recount(model, store, X, pred)
 
 
+def _v_rows(monkeypatch):
+    """The row count of every V evaluation from here on, in order."""
+    calls = []
+    plain = LyapunovNet._eval
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(np.shape(ad.value_of(x))[0])
+        return plain(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["icnn", "lnn", "mixture"])
 def test_counting_an_implicit_step_evaluates_no_v(kind, monkeypatch):
     # the step carries V at every row's certified state: V(y) where it left
@@ -449,17 +462,30 @@ def test_counting_an_implicit_step_evaluates_no_v(kind, monkeypatch):
     pred = (training.mdn_forward(model, store, X).mu_mix if kind == "mixture"
             else model_step(model, store, X))
     expected = _recount(model, store, X, pred)
-    calls = []
-    plain = LyapunovNet._eval
-
-    def counted(self, x, *args, **kwargs):
-        calls.append(np.shape(ad.value_of(x))[0])
-        return plain(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    calls = _v_rows(monkeypatch)
     assert evaluate_violations(model, store, X) == expected
     # one value call on V(X) and V(y) stacked, and none to count
     assert calls == [2 * X.shape[0]]
+
+
+def test_counting_a_convex_mixture_evaluates_no_v(monkeypatch):
+    # convex mode's closed form evaluates no V at the certified states, but
+    # the sigma tether does, raw or recorded, and hands it to the step's v_cert
+    model, store = _pushed_mixture("convex", "fixed_point", 5.0)
+    X, Y = _batch()
+    out = training.mdn_forward(model, store, X)
+    hits = int(out.info.intervened.sum())
+    assert 0 < hits < X.shape[0]
+    expected = _recount(model, store, X, out.mu_mix)
+    calls = _v_rows(monkeypatch)
+    assert evaluate_violations(model, store, X) == expected
+    # V(X) and V(y) stacked, then the tether's V on the moved rows; none to count
+    assert calls == [2 * X.shape[0], hits]
+    calls.clear()
+    _, _, pred, step = training.objective(model, store, Tape(), X, Y)
+    recorded = len(calls)
+    assert training._count_violations(model, store, X, pred, step) == expected
+    assert len(calls) == recorded
 
 
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
