@@ -18,16 +18,18 @@ next state:
 Steps are batched over rows; the scalar case is a batch of one. One code
 path, built from the autodiff primitives, certifies every step: on raw
 arrays for inference (model_step) and on a tape for training (step_expr).
-The raw path evaluates V(x) and V(y) in one stacked call for batches of up
-to STACK_ROWS / 2 rows, and builds g(0) once per step (raw_v_pass). The
-gamma solve walks each intervening row's ray gamma*y (LyapunovNet.ray),
-starting from the V(y) the step holds. Either way the step's StepInfo
-carries the raw V values it computed, so checking its certificate needs V
-again only where the step never evaluated it.
+Both make one decision on raw values (_decide), reported as the step's
+StepInfo: which rows intervene and what gamma puts them back. The raw path
+(certified_gamma_raw) evaluates V(x) and V(y) in one stacked call for up to
+STACK_ROWS / 2 rows and builds g(0) once per step; the gamma solve walks
+each intervening row's ray gamma*y (LyapunovNet.ray) from the V(y) it holds.
+The StepInfo carries the raw V values the step computed, so checking its
+certificate needs V again only where the step never evaluated it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -52,6 +54,20 @@ MAX_BISECT = 60
 # at width 25 a stacked step measured faster than the separate calls at
 # batch 128 and slower from batch 192, on random and on trained models
 STACK_ROWS = 256
+
+
+def check_count(name: str, value) -> None:
+    """Refuse by name a count that is not an integer (bools are not) or is below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def check_between(name: str, value, lo: float, hi: float) -> None:
+    """Refuse by name a setting that is not a real number in (lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
+        raise ValueError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
 
 
 class RootFindError(RuntimeError):
@@ -126,17 +142,22 @@ class Certified:
     backward_route: str = "fixed_point"
 
     def __post_init__(self):
+        check_count("dim", self.dim)
+        for name in ("hidden_f", "hidden_v"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple, np.ndarray)) or np.ndim(widths) != 1:
+                raise ValueError(f"{name} must be a list of layer widths, got {widths!r}")
+            for w in widths:
+                check_count(f"a {name} width", w)
+            setattr(self, name, tuple(int(w) for w in widths))
+        check_between("beta", self.beta, 0.0, 1.0)
+        check_between("rootfind_tol", self.rootfind_tol, 0.0, np.inf)
         if self.mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.rootfind_tol < np.inf:
-            raise ValueError("rootfind_tol must be positive and finite")
         if self.backward_route not in BACKWARD_ROUTES:
             raise ValueError(f"backward_route must be one of {BACKWARD_ROUTES}")
         if self.mode == "convex" and self.variant == "lnn":
             raise ValueError("convex mode needs a convex V (icnn or convex_lnn)")
-        self.hidden_f, self.hidden_v = tuple(self.hidden_f), tuple(self.hidden_v)
         self.lyap = LyapunovNet(self.variant, self.dim, self.hidden_v)
 
     def _mlp(self, prefix: str, out_dim: int) -> Mlp:
@@ -155,6 +176,9 @@ class StableModel(Certified):
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.integrating, (bool, np.bool_)):
+            raise ValueError(f"integrating must be true or false, got {self.integrating!r}")
+        self.integrating = bool(self.integrating)
         if self.integrating and self.mode not in ("projection", "none"):
             # scaling the whole next state toward the origin has no sensible
             # increment form; only the increment-based models compose with x + delta
@@ -255,16 +279,16 @@ def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
 # ---------------------------------------------------------------------------
 # the certified step, raw (tape None) or recorded
 
-def as_batch(x, dim: int, name: str = "x"):
+def as_batch(x, dim: int, name: str = "x", single: bool = True):
     """(batch, dim) view of x, and whether x was a single state.
 
-    Anything but one state or a batch of states of dimension dim raises
-    ValueError naming the argument.
+    Anything but a batch of states of dimension dim, or with single one
+    state, raises ValueError naming the argument and the shapes it takes.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        raise ValueError(f"{name} must be a state of dimension {dim} or a (batch, {dim}) "
-                         f"array, got shape {x.shape}")
+    if x.ndim not in ((1, 2) if single else (2,)) or x.shape[-1] != dim:
+        takes = f"a state of dimension {dim} or a " if single else "a "
+        raise ValueError(f"{name} must be {takes}(batch, {dim}) array, got shape {x.shape}")
     if x.ndim == 1:
         return x[None, :], True
     return x, False
@@ -279,20 +303,15 @@ def refuse_non_finite(X):
         raise ValueError(f"a certified step needs finite states; rows {rows.tolist()} are not")
 
 
-def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, g0=None):
-    """Row-wise scaling factors, 1.0 where V(y) <= beta*V(x) already holds.
+def _decide(model, store: ad.ParamStore, y, v_x, v_y, g0=None) -> StepInfo:
+    """The certificate's decision on raw values, as the step's StepInfo.
 
     model is a StableModel or a StochasticModel; its lyap, mode, beta and
-    rootfind_tol define the certificate. Rows whose prediction sits below
-    the origin guard are left alone even if they fail the decrease test;
-    they are within rounding of the fixed point. In implicit mode the gamma
-    solve walks the intervening rows' rays (LyapunovNet.ray, built with the
-    icnn's g(0) when g0 is given) and starts from their v_y.
-    Returns (gamma, intervened, residual, newton_iters, bisect_iters,
-    v_cert), where residual is |V(gamma*y) - beta*V(x)| on the solved rows
-    and v_cert is StepInfo's: V at the intervening rows' certified states in
-    implicit mode (0 exactly where the row is certified to the origin), None
-    in convex mode.
+    rootfind_tol define the certificate. A row intervenes where V(y) >
+    beta*V(x), unless its prediction sits below the origin guard, within
+    rounding of the fixed point. In implicit mode the gamma solve walks the
+    intervening rows' rays (LyapunovNet.ray, with g0 as the icnn's g(0)),
+    starting from their v_y.
     """
     B = y.shape[0]
     target = model.beta * v_x
@@ -316,36 +335,54 @@ def certified_gamma_raw(model, store: ad.ParamStore, y, v_x, v_y, g0=None):
                 rootfind_tol=model.rootfind_tol)
             residual[rows] = np.abs(v_sol - target[rows])
             v_cert[solvable] = v_sol
-    return gamma, mask, residual, n_newton, n_bisect, v_cert
+    return StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x, v_y, v_cert=v_cert)
 
 
-def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
-                         info: StepInfo):
-    """Recorded (B,) scaling factors, or None when no row intervenes.
+def certified_gamma_raw(model, store: ad.ParamStore, y, X):
+    """The raw certificate for the prediction y at the states X (B, dim).
 
-    certified_gamma_raw makes the decision on raw values: which rows
-    intervene, the origin rows and the forward gamma. What is recorded is
-    only a gradient surrogate on the intervening rows whose value is that
-    gamma; rows left alone carry an exact 1.0. The model's backward_route
-    picks the implicit surrogate. V(y) is recorded in convex mode, whose
-    closed form differentiates through it, and evaluated raw in implicit
-    mode, where no gradient reads it and the gamma solve starts from it.
-    info receives the decision and the raw V values (StepInfo).
+    Builds the icnn's g(0) once and evaluates V(X) and V(y) by value calls:
+    one call on the stacked rows while 2B <= STACK_ROWS, one each above.
+    Returns (gamma, intervened, info, g0): gamma is None when no row
+    intervenes; intervened is info.intervened, the full-batch mask, returned
+    beside info only because perfbench/spans.py reads it as the second
+    value; g0 is for any further raw V call of the same step.
     """
+    B = X.shape[0]
+    lyap = model.lyap
+    g0 = lyap.origin(store)
+    if 2 * B > STACK_ROWS:
+        v_x, v_y = lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0)
+    else:
+        v = lyap.value(np.concatenate([X, y]), store, g0=g0)
+        v_x, v_y = v[:B], v[B:]
+    info = _decide(model, store, y, v_x, v_y, g0)
+    return (info.gamma if info.intervened.any() else None), info.intervened, info, g0
+
+
+def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, X,
+                         info: StepInfo):
+    """Recorded (B,) scaling factors for the prediction y at the states X, or
+    None when no row intervenes; info receives the step's StepInfo.
+
+    _decide makes the decision on raw values. What is recorded is V(X) and a
+    gradient surrogate on the intervening rows whose value is their gamma;
+    rows left alone carry an exact 1.0. The model's backward_route picks the
+    implicit surrogate. V(y) is recorded in convex mode, whose closed form
+    differentiates through it, and evaluated raw in implicit mode, where no
+    gradient reads it.
+    """
+    v_x = model.lyap.value(X, store, tape)
     y_val = ad.value_of(y)
     if model.mode == "convex":
         v_y = model.lyap.value(y, store, tape)
     else:
         v_y = model.lyap.value(y_val, store)
-    gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
-        model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))
-    info.intervened, info.gamma, info.residual = mask, gamma, residual
-    info.newton_iters, info.bisect_iters = n_newton, n_bisect
-    info.v_x, info.v_y, info.v_cert = ad.value_of(v_x), ad.value_of(v_y), v_cert
-    idx = np.flatnonzero(mask)
+    vars(info).update(vars(_decide(model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))))
+    idx = np.flatnonzero(info.intervened)
     if idx.size == 0:
         return None
-    if model.mode != "convex" and np.any(gamma[idx] == 0.0):
+    if model.mode != "convex" and np.any(info.gamma[idx] == 0.0):
         # V(x) = 0: the root sits at gamma = 0 where grad V vanishes, so the
         # implicit derivative divides by zero; the closed form has no such problem
         raise ValueError("intervention at the origin; gamma gradient undefined there")
@@ -356,34 +393,15 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, v_x,
     else:
         surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
                      else _direct_gamma_node)
-        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, gamma[idx])
-    return ad.scatter_rows(gam_i, idx, mask.size, fill=1.0)
-
-
-def raw_v_pass(model, store: ad.ParamStore, X, y):
-    """The raw certificate's V values, with g(0) built once (LyapunovNet.origin).
-
-    While 2B <= STACK_ROWS, V(X) and V(y) come from one value call on the
-    stacked (2B, dim) rows; above that, from one value call each. No mode
-    needs a gradient here: the gamma solve starts from V(y) and evaluates
-    dV/dgamma itself, on the rows that iterate. Returns (v_x, v_y, g0), the
-    arguments certified_gamma_raw takes after y; hand g0 on to any further
-    raw V call of the same step.
-    """
-    B = X.shape[0]
-    lyap = model.lyap
-    g0 = lyap.origin(store)
-    if 2 * B > STACK_ROWS:
-        return lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0), g0
-    v = lyap.value(np.concatenate([X, y]), store, g0=g0)
-    return v[:B], v[B:], g0
+        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, info.gamma[idx])
+    return ad.scatter_rows(gam_i, idx, info.intervened.size, fill=1.0)
 
 
 def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
     """The certified next state for the prediction y = fhat(X), and its StepInfo.
 
-    Built from the autodiff primitives: on raw arrays when tape is None, on
-    the tape otherwise; the raw path evaluates V through raw_v_pass. Rows
+    Built from the autodiff primitives: on raw arrays when tape is None
+    (certified_gamma_raw), on the tape otherwise (certified_gamma_expr). Rows
     left alone pass y through bit-exactly. The StepInfo carries the raw V
     values the step computed (see StepInfo). A state that is not finite raises
     ValueError, since V certifies nothing there; mode "none" certifies
@@ -397,16 +415,10 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
         return _projection(model, store, tape, X, y)
 
     if tape is None:
-        v_x, v_y, g0 = raw_v_pass(model, store, X, y)
-        gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
-            model, store, y, v_x, v_y, g0)
-        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y,
-                        v_cert=v_cert)
-        gamma = gamma if mask.any() else None
+        gamma, _, info, _ = certified_gamma_raw(model, store, y, X)
     else:
         info = StepInfo(intervened=None)
-        gamma = certified_gamma_expr(model, store, tape, y, model.lyap.value(X, store, tape),
-                                     info=info)
+        gamma = certified_gamma_expr(model, store, tape, y, X, info)
     return (y if gamma is None else ad.scale_rows(y, gamma)), info
 
 
@@ -447,9 +459,7 @@ def step_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape | None, X,
     want_parts the free prediction fhat(X) and the step's StepInfo come back
     as well, as (step, free, info).
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("step_expr expects a (batch, dim) input")
+    X, _ = as_batch(X, model.dim, "X", single=False)
     y = model.fhat.forward(X, store, tape)
     out, info = _certify(model, store, tape, X, y)
     return (out, y, info) if want_parts else out

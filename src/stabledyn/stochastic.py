@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw, raw_v_pass, refuse_non_finite)
+                            certified_gamma_raw, check_between, check_count, refuse_non_finite)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -43,10 +43,8 @@ class StochasticModel(Certified):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k < 1:
-            raise ValueError("need at least one mixture component")
-        if not 0.0 < self.sigma_cap < np.inf:
-            raise ValueError("sigma_cap must be positive and finite")
+        check_count("k", self.k)
+        check_between("sigma_cap", self.sigma_cap, 0.0, np.inf)
         self.trunk = self._mlp("trunk", 2 * self.dim * self.k)
         self.coeff = self._mlp("coeff", self.k)
         self.nets = (self.trunk, self.coeff, self.lyap)
@@ -76,16 +74,13 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
     mean, so the covariance shrinks together with the mean dynamics. There a
     state that is not finite raises ValueError; mode "none" passes it through.
     info is the StepInfo of the certified step x -> scaled mean; mode "none"
-    moves no row. On the raw path (tape None) V(x) and V(mean) come from
-    deterministic.raw_v_pass, one stacked call for a batch of up to
-    STACK_ROWS / 2 rows, and the spreads are tethered to the step's own V at
-    the scaled mean (StepInfo.v_certified), which evaluates V only on convex
-    mode's moved rows. The recorded path records V at the scaled mean, which
-    the spreads' gradients need. Either way info.v_cert is the tether's V.
+    moves no row. On the raw path (tape None, certified_gamma_raw) the
+    spreads are tethered to the step's own V at the scaled mean
+    (StepInfo.v_certified), which evaluates V only on convex mode's moved
+    rows; the recorded path records V at the scaled mean, which the spreads'
+    gradients need. Either way info.v_cert is the tether's V.
     """
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("mdn_forward expects a (batch, dim) input")
+    X, _ = as_batch(x, model.dim, "X", single=False)
     if model.mode != "none":
         refuse_non_finite(X)
     B, n = X.shape
@@ -103,16 +98,10 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
                          info=StepInfo(intervened=np.zeros(B, dtype=bool)))
 
     if tape is None:
-        v_x, v_y, g0 = raw_v_pass(model, store, X, mu_mix)
-        gamma, mask, residual, n_newton, n_bisect, v_cert = certified_gamma_raw(
-            model, store, mu_mix, v_x, v_y, g0)
-        info = StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x=v_x, v_y=v_y,
-                        v_cert=v_cert)
-        gv = gamma if mask.any() else None
+        gv, _, info, g0 = certified_gamma_raw(model, store, mu_mix, X)
     else:
         info = StepInfo(intervened=None)
-        gv = certified_gamma_expr(model, store, tape, mu_mix, model.lyap.value(X, store, tape),
-                                  info=info)
+        gv = certified_gamma_expr(model, store, tape, mu_mix, X, info)
 
     if gv is not None:
         scale = ad.expand_last(ad.expand_last(gv))

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import StableModel, as_batch, model_step, step_expr
+from .deterministic import (StableModel, as_batch, check_between, check_count, model_step,
+                            step_expr)
 from .stochastic import StochasticModel, mdn_forward, mdn_nll
 
 
@@ -53,18 +53,10 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        counts = {"epochs": self.epochs}
+        check_count("epochs", self.epochs)
         if self.batch_size is not None:
-            counts["batch_size"] = self.batch_size
-        for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError("lr must be positive and finite")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be None (full batch) or at least 1")
+            check_count("batch_size", self.batch_size)
+        check_between("lr", self.lr, 0.0, np.inf)
 
 
 @dataclass
@@ -159,11 +151,7 @@ def train(model, store: ad.ParamStore, X: np.ndarray, Y: np.ndarray,
     """Fit either model kind to transition pairs by minimising `objective`;
     the losses are its reported loss, the NLL or the certified MSE."""
     config = config or TrainConfig()
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.shape != Y.shape or X.ndim != 2:
-        raise ValueError("X and Y must be matching (samples, dim) arrays")
-    _refuse_empty(X)
+    X, Y = _check_data(model, X, Y)
     rng = np.random.default_rng(config.seed)
     state = AdamState(store)
     store.zero_grads()
@@ -223,16 +211,24 @@ def metric_of(model) -> str:
     return "nll" if isinstance(model, StochasticModel) else "mse"
 
 
-def _refuse_empty(X) -> None:
-    if np.shape(X)[:1] == (0,):
+def _check_data(model, X, Y):
+    """X and Y as float arrays. Refuses by name anything but a non-empty
+    (batch, dim) X and a Y of the same shape, which would otherwise
+    broadcast against it into a wrong loss."""
+    X, _ = as_batch(X, model.dim, "X", single=False)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != X.shape:
+        raise ValueError(f"Y must have the shape of X, {X.shape}, got {Y.shape}")
+    if not X.shape[0]:
         raise ValueError("X has no rows: the dataset must hold at least one transition")
+    return X, Y
 
 
 def _evaluate(metric: str, model, store: ad.ParamStore, X, Y) -> float:
     if metric_of(model) != metric:
         raise ValueError(f"{metric} does not score a {type(model).__name__}; "
                          f"use {metric_of(model)}")
-    _refuse_empty(X)
+    X, Y = _check_data(model, X, Y)
     return float(objective(model, store, None, X, Y)[1])
 
 

@@ -102,15 +102,21 @@ def test_traced_calls_match_untraced_ones(tracer):
     assert len(t.start) > 0
     assert t.counts["solve_rows"] and t.counts["intervened_rows"]
 
-    # a mixture's forward decides every row once, under stochastic's own names
+    # a mixture's forward decides every row once, under stochastic's own names,
+    # and the raw forward counts exactly the rows its report says moved
     mdn = make_stochastic_model("implicit", 2, "icnn", k=2, hidden_f=(6,), hidden_v=(5,))
     mstore = ParamStore()
     mdn.init_params(mstore, np.random.default_rng(2))
+    mstore.values["trunk.W1"] *= 20.0
     t.active = True
     for tape in (None, autodiff.Tape()):
-        before = sum(t.counts["decided_rows"].values())
-        stochastic.mdn_forward(mdn, mstore, X, tape)
-        assert sum(t.counts["decided_rows"].values()) == before + X.shape[0]
+        decided = sum(t.counts["decided_rows"].values())
+        moved = sum(t.counts["intervened_rows"].values())
+        out = stochastic.mdn_forward(mdn, mstore, X, tape)
+        assert sum(t.counts["decided_rows"].values()) == decided + X.shape[0]
+        if tape is None:
+            assert 0 < out.info.intervened.sum() < X.shape[0]
+            assert sum(t.counts["intervened_rows"].values()) == moved + out.info.intervened.sum()
     t.active = False
 
 

@@ -7,6 +7,8 @@ from stabledyn.deterministic import (ORIGIN_GUARD, STACK_ROWS, RootFindError,
                                      convex_gamma, make_model, model_step, rollout,
                                      solve_gamma_batch, step_expr)
 from stabledyn.lyapunov import LyapunovNet, Ray
+from stabledyn.stochastic import make_stochastic_model, mdn_forward
+from stabledyn.training import train
 
 
 class PolyV:
@@ -69,6 +71,26 @@ def test_mode_validation():
     make_model("none", 2, "lnn", integrating=True)         # fine
     with pytest.raises(ValueError):
         make_model("implicit", 2, "lnn", beta=1.0)
+    # a wrongly typed setting used to raise TypeError or OverflowError deep
+    # in numpy, or (integrating="yes", 1) to be accepted
+    for setting, value, match in [
+            ("dim", "two", "dim must be an integer"), ("dim", 2.0, "dim must be an integer"),
+            ("dim", True, "dim must be an integer"), ("dim", 0, "dim must be at least 1"),
+            ("hidden_f", 5, "hidden_f must be a list of layer widths"),
+            ("hidden_v", "25", "hidden_v must be a list of layer widths"),
+            ("hidden_f", (25, 2.5), "a hidden_f width must be an integer"),
+            ("hidden_v", (0,), "a hidden_v width must be at least 1"),
+            ("beta", "0.9", "beta must be a number"), ("beta", True, "beta must be a number"),
+            ("rootfind_tol", "1e-3", "rootfind_tol must be a number"),
+            ("integrating", "yes", "integrating must be true or false"),
+            ("integrating", 1, "integrating must be true or false")]:
+        with pytest.raises(ValueError, match=match):
+            make_model(**{"mode": "projection", "dim": 2, "variant": "icnn", setting: value})
+    # numpy scalars, arrays and lists, as from a file, are fine
+    make_model("projection", np.int64(2), "icnn", hidden_f=[4], hidden_v=[np.int64(3)],
+               beta=np.float64(0.9), integrating=True)
+    m = make_model("projection", 2, "icnn", hidden_f=np.array([4, 3]), integrating=np.bool_(True))
+    assert m.hidden_f == (4, 3) and m.integrating is True
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -583,6 +605,18 @@ def test_a_state_of_the_wrong_shape_is_refused_by_name(shape):
         model_step(model, store, np.ones(shape))
     with pytest.raises(ValueError, match=r"^x0 must be a state of dimension 2"):
         rollout(model, store, np.ones(shape), 3)
+    # the batch-only calls refuse a single state too, naming X and (batch, dim)
+    batch_only = r"^X must be a \(batch, 2\) array, got shape"
+    with pytest.raises(ValueError, match=batch_only):
+        step_expr(model, store, Tape(), np.ones(shape))
+    with pytest.raises(ValueError, match=batch_only):
+        train(model, store, np.ones(shape), np.ones(shape))
+    mdn = make_stochastic_model("implicit", 2, "icnn", k=2, hidden_f=(4,), hidden_v=(3,))
+    mstore = ParamStore()
+    mdn.init_params(mstore, np.random.default_rng(0))
+    for tape in (None, Tape()):
+        with pytest.raises(ValueError, match=batch_only):
+            mdn_forward(mdn, mstore, np.ones(shape), tape)
 
 
 def test_rollout_shapes_and_v_trace():

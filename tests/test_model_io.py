@@ -224,8 +224,15 @@ def test_solver_budgets_from_older_files(tmp_path):
      "'f.W0' is not a numeric array"),
     (lambda doc: dict(doc, params={**doc["params"], "f.W0": "abc"}),
      "'f.W0' is not a numeric array"),
+    (lambda doc: dict(doc, dim="two"), "dim must be an integer, got 'two'"),
+    (lambda doc: dict(doc, dim=0), "dim must be at least 1, got 0"),
+    (lambda doc: dict(doc, hidden_f=5), "hidden_f must be a list of layer widths, got 5"),
+    (lambda doc: dict(doc, beta="0.9"), "beta must be a number in .*got '0.9'"),
+    (lambda doc: dict(doc, integrating="yes"), "integrating must be true or false"),
+    (lambda doc: dict(doc, kind="mdn", k=2.5, sigma_cap=1.0), "k must be an integer, got 2.5"),
 ], ids=["list", "no-kind", "list-kind", "no-params", "list-params", "object-param",
-        "text-param"])
+        "text-param", "text-dim", "zero-dim", "number-hidden", "text-beta",
+        "text-integrating", "fractional-k"])
 def test_a_malformed_file_is_refused_by_name(tmp_path, edit, match):
     p, doc = _saved_doc(tmp_path)
     p.write_text(json.dumps(edit(doc)))

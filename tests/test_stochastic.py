@@ -29,6 +29,13 @@ def test_construction_contracts():
         make_stochastic_model("convex", 2, "lnn")
     with pytest.raises(ValueError):
         make_stochastic_model("convex", 2, "icnn", k=0)
+    for k in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            make_stochastic_model("convex", 2, "icnn", k=k)
+    with pytest.raises(ValueError, match="sigma_cap must be a number"):
+        make_stochastic_model("convex", 2, "icnn", sigma_cap="1.0")
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        make_stochastic_model("convex", "two", "icnn")
     with pytest.raises(ValueError):
         make_stochastic_model("convex", 2, "icnn", sigma_cap=0.0)
     with pytest.raises(ValueError):

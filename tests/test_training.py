@@ -314,6 +314,21 @@ def test_empty_data_is_refused_by_name():
                 call()
 
 
+@pytest.mark.parametrize("y_shape", [(1, 2), (6, 1), (5, 2), (6,)])
+def test_targets_of_another_shape_are_refused_by_name(y_shape):
+    # a (1, 2) Y against 6 states used to broadcast into an MSE of 3.63 and
+    # an NLL of 3.3e5, with no error
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
+    Y = np.ones(y_shape)
+    (det, det_store), (mix, mix_store) = _small_pair()
+    for call in (lambda: evaluate_mse(det, det_store, X, Y),
+                 lambda: evaluate_nll(mix, mix_store, X, Y),
+                 lambda: train(det, det_store, X, Y, TrainConfig(epochs=1)),
+                 lambda: train(mix, mix_store, X, Y, TrainConfig(epochs=1))):
+        with pytest.raises(ValueError, match=r"^Y must have the shape of X, \(6, 2\)"):
+            call()
+
+
 def test_evaluate_violations_takes_the_same_inputs_for_both_model_kinds():
     x = np.array([1.5, -2.0])
     for model, store in _small_pair():
