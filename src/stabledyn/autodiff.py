@@ -223,7 +223,7 @@ def linear(x, W, b=None):
     xv, Wv = value_of(x), value_of(W)
     val = xv @ Wv.T
     if b is not None:
-        val = val + value_of(b)
+        val += value_of(b)
     if tape is None:
         return val
     pull_W = (lambda g: np.outer(g, xv)) if xv.ndim == 1 else (lambda g: g.T @ xv)
@@ -294,7 +294,7 @@ def sum_axis(a, axis: int):
 def expand_last(a):
     """(...,) -> (..., 1)."""
     tape = _tape_of(a)
-    val = np.expand_dims(value_of(a), -1)
+    val = value_of(a)[..., None]
     if tape is None:
         return val
     return _node(tape, val, [(a, lambda g: g[..., 0])])
@@ -425,7 +425,12 @@ def smooth_relu(a, d: float):
     tape = _tape_of(a)
     av = value_of(a)
     r = np.maximum(av, 0.0)
-    val = np.where(r < d, r * r / (2.0 * d), r - d / 2.0)
+    inside = r < d
+    q = r * r
+    q /= 2.0 * d
+    r -= d / 2.0
+    # np.where, not a masked np.copyto, which measured slower at 256 x 25
+    val = np.where(inside, q, r)
     if tape is None:
         return val
     slope = _unit_clip(av / d)

@@ -29,7 +29,6 @@ certificate needs V again only where the step never evaluated it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .lyapunov import LyapunovNet, Ray
 from .nets import Mlp
+from .validate import check_between, check_count
 
 MODES = ("convex", "implicit", "projection", "none")
 BACKWARD_ROUTES = ("fixed_point", "direct")
@@ -54,20 +54,6 @@ MAX_BISECT = 60
 # at width 25 a stacked step measured faster than the separate calls at
 # batch 128 and slower from batch 192, on random and on trained models
 STACK_ROWS = 256
-
-
-def check_count(name: str, value) -> None:
-    """Refuse by name a count that is not an integer (bools are not) or is below 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def check_between(name: str, value, lo: float, hi: float) -> None:
-    """Refuse by name a setting that is not a real number in (lo, hi)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
-        raise ValueError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
 
 
 class RootFindError(RuntimeError):
@@ -213,10 +199,10 @@ def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
     gives g(0) = -target < 0 < g(1). A row already within rootfind_tol of
     its target stops at gamma = 1; only the others evaluate dV/dgamma there.
     Newton starts at gamma = 1; a proposal outside the open bracket becomes
-    a bisection step, and every accepted point tightens the bracket using
-    the sign of g. After max_newton Newton steps the iteration continues
-    with bisection alone. Each iteration is one ray.at on the rows still
-    iterating.
+    a bisection step (so does a zero or NaN slope, whose proposal is not
+    finite), and every accepted point tightens the bracket using the sign of
+    g. After max_newton Newton steps the iteration continues with bisection
+    alone. Each iteration is one ray.at on the rows still iterating.
 
     Returns (gamma, V at gamma, newton_iters, bisect_iters).
     """
@@ -239,41 +225,49 @@ def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
     gam = np.ones(rows.size)
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
     nn = np.zeros(rows.size, dtype=int)
-    nb = np.zeros(rows.size, dtype=int)
+    # every row still iterating has made `it` steps: nn by Newton, the rest
+    # by bisection. So neither budget needs a test before `it` reaches it
+    it = 0
 
-    while rows.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = gam - gc / np.where(gpc == 0.0, np.nan, gpc)
-        ok = (nn < max_newton) & np.isfinite(newton) & (lo < newton) & (newton < hi)
-        stalled = ~ok & (nb >= max_bisect)
-        if np.any(stalled):
-            i = int(np.flatnonzero(stalled)[0])
-            b = int(rows[i])
-            raise RootFindError(
-                f"gamma solve stalled in row {b}: bracket [{lo[i]:.6g}, {hi[i]:.6g}], "
-                f"|g| = {abs(gc[i]):.3g} > {rootfind_tol:.3g}",
-                row=b, lo=float(lo[i]), hi=float(hi[i]), residual=float(abs(gc[i])))
-        gam = np.where(ok, newton, 0.5 * (lo + hi))
-        nn += ok
-        nb += ~ok
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            newton = gc / gpc
+            np.subtract(gam, newton, out=newton)
+            ok = lo < newton
+            ok &= newton < hi
+            if it >= max_newton:
+                ok &= nn < max_newton
+            if it >= max_bisect:
+                stalled = ~ok & (it - nn >= max_bisect)
+                if stalled.any():
+                    i = int(np.flatnonzero(stalled)[0])
+                    b = int(rows[i])
+                    raise RootFindError(
+                        f"gamma solve stalled in row {b}: bracket [{lo[i]:.6g}, {hi[i]:.6g}], "
+                        f"|g| = {abs(gc[i]):.3g} > {rootfind_tol:.3g}",
+                        row=b, lo=float(lo[i]), hi=float(hi[i]), residual=float(abs(gc[i])))
+            gam = newton if ok.all() else np.where(ok, newton, 0.5 * (lo + hi))
+            nn += ok
+            it += 1
 
-        v_c, gpc = ray.at(gam)
-        gc = v_c - tc
-        above = gc > 0.0
-        hi = np.where(above, gam, hi)
-        lo = np.where(above, lo, gam)
+            v_c, gpc = ray.at(gam)
+            gc = v_c - tc
+            above = gc > 0.0
+            np.copyto(hi, gam, where=above)
+            np.copyto(lo, gam, where=~above)
 
-        going = np.abs(gc) > rootfind_tol
-        if not going.all():
+            going = np.abs(gc) > rootfind_tol
+            if going.all():
+                continue
             done = ~going
-            r = rows[done]
-            gamma[r], v_out[r], n_newton[r], n_bisect[r] = gam[done], v_c[done], nn[done], nb[done]
-            rows, tc, gc, gpc = rows[going], tc[going], gc[going], gpc[going]
-            gam, lo, hi, nn, nb = gam[going], lo[going], hi[going], nn[going], nb[going]
-            if rows.size:
-                ray = ray.take(going)
-
-    return gamma, v_out, n_newton, n_bisect
+            r, nn_r = rows[done], nn[done]
+            gamma[r], v_out[r], n_newton[r], n_bisect[r] = gam[done], v_c[done], nn_r, it - nn_r
+            rows = rows[going]
+            if not rows.size:
+                return gamma, v_out, n_newton, n_bisect
+            tc, gc, gpc = tc[going], gc[going], gpc[going]
+            gam, lo, hi, nn = gam[going], lo[going], hi[going], nn[going]
+            ray = ray.take(going)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +467,7 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     record_v also the V values along it, shape (steps+1,) or (B, steps+1).
     A start that is not finite raises ValueError.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
+    check_count("steps", steps, least=0)
     X, single = as_batch(x0, model.dim, "x0")
     if not np.isfinite(X).all():
         raise ValueError("x0 must be finite")

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import D, Mlp
+from .validate import check_count
 
 VARIANTS = ("lnn", "icnn", "convex_lnn")
 
@@ -67,6 +68,9 @@ class LyapunovNet:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        check_count("dim", self.dim)
+        for h in self.hidden:
+            check_count("a hidden width", h)
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.variant in ("lnn", "convex_lnn"):
             out_act = "identity" if self.variant == "lnn" else "smooth_relu"
@@ -243,48 +247,78 @@ class Ray:
                    tuple(f[rows] for f in self.fixed))
 
     def at(self, gamma):
-        """(V(gamma_b Y_b), dV/dgamma at gamma_b) for the (R,) factors gamma."""
-        lyap = self.lyap
+        """(V(gamma_b Y_b), dV/dgamma at gamma_b) for the (R,) factors gamma.
 
-        def P(name):
-            return self.store.values[f"{PREFIX}.{name}"]
-
+        Every temporary is the call's own, so the arithmetic runs in place,
+        one operation at a time in the order of the plain expressions (given
+        in the comments where they are not plain to see), to the same bits.
+        """
+        p, variant = self.store.values, self.lyap.variant
         gc = gamma[:, None]
-        if lyap.variant == "icnn":
+        if variant == "icnn":
             W0Y, W1Y, w2Y = self.fixed
-            U1, u2 = P("U1"), P("u2")
-            z, dz = _sr_pair(gc * W0Y + P("b0"), W0Y)
-            z, dz = _sr_pair((z @ U1.T + P("b1")) + gc * W1Y, dz @ U1.T + W1Y)
-            excess = ((z @ u2.T + P("b2"))[:, 0] + gamma * w2Y) - self.g0
-            d_excess = (dz @ u2.T)[:, 0] + w2Y
+            U1T, u2T = p[f"{PREFIX}.U1"].T, p[f"{PREFIX}.u2"].T
+            a = gc * W0Y
+            a += p[f"{PREFIX}.b0"]
+            z, dz = _sr_pair(a, W0Y)
+            # (z U1^T + b1) + gamma W1 Y, and its tangent dz U1^T + W1 Y
+            a = z @ U1T
+            a += p[f"{PREFIX}.b1"]
+            a += gc * W1Y
+            da = dz @ U1T
+            da += W1Y
+            z, dz = _sr_pair(a, da)
+            # ((z u2^T + b2) + gamma w2.Y) - g(0), and dz u2^T + w2.Y
+            e = z @ u2T
+            e += p[f"{PREFIX}.b2"]
+            excess = e[:, 0]
+            excess += gamma * w2Y
+            excess -= self.g0
+            d_excess = (dz @ u2T)[:, 0]
+            d_excess += w2Y
         else:
-            mlp = lyap._mlp
+            mlp = self.lyap._mlp
             (W0Y,) = self.fixed
             a, da = gc * W0Y, W0Y
             for i in range(mlp.n_layers):
                 if i:
-                    W = P(f"W{i}")
-                    a, da = z @ W.T, dz @ W.T
+                    WT = p[f"{PREFIX}.W{i}"].T
+                    a, da = z @ WT, dz @ WT
                 if mlp._act_name(i) == "smooth_relu":
                     z, dz = _sr_pair(a, da)
                 else:
                     z, dz = a, da
-            excess = (z * z).sum(axis=-1)
-            d_excess = 2.0 * (z * dz).sum(axis=-1)
-        quad = (gamma * gamma * self.sq) * EPSILON
-        d_quad = (2.0 * EPSILON) * gamma * self.sq
-        if lyap.variant != "lnn":
+            # |z|^2 and 2 (z.dz); dz may be W0 Y itself, z never is
+            d_excess = (z * dz).sum(axis=-1)
+            d_excess *= 2.0
+            z *= z
+            excess = z.sum(axis=-1)
+        # (gamma^2 |Y|^2) EPSILON and (2 EPSILON) gamma |Y|^2
+        quad = gamma * gamma
+        quad *= self.sq
+        quad *= EPSILON
+        d_quad = gamma * (2.0 * EPSILON)
+        d_quad *= self.sq
+        if variant != "lnn":
             excess, d_excess = _sr_pair(excess, d_excess)
-        return excess + quad, d_excess + d_quad
+        excess += quad
+        d_excess += d_quad
+        return excess, d_excess
 
 
 def _sr_pair(a, da):
-    """smooth_relu(a) and its tangent for the tangent da of a.
+    """smooth_relu(a) and its tangent for the tangent da of a; a is
+    overwritten with the value.
 
     With the slope s = clip(a/D, 0, 1), smooth_relu(a) = s*(a - s*D/2) on
     every piece (0; a^2/(2D); a - D/2), so one clip serves both. It equals
     ad.smooth_relu to rounding, not bit for bit.
     """
-    s = np.minimum(np.maximum(a / D, 0.0), 1.0)
-    return s * (a - (0.5 * D) * s), s * da
-
+    s = a / D
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, 1.0, out=s)
+    t = s * (0.5 * D)
+    a -= t
+    a *= s
+    s *= da
+    return a, s

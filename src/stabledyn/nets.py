@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .validate import check_count
 
 ACTIVATIONS = ("identity", "smooth_relu", "tanh")
 
@@ -54,6 +55,8 @@ class Mlp:
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ValueError("need at least input and output dims")
+        for w in self.layer_dims:
+            check_count("a layer width", w)
         if self.activation not in ACTIVATIONS or self.output_activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw, check_between, check_count, refuse_non_finite)
+                            certified_gamma_raw, refuse_non_finite)
+from .validate import check_between, check_count
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -164,10 +165,8 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     bits with the rows batched beside it). A start that is not finite raises
     ValueError.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
-    if paths < 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
+    check_count("steps", steps, least=0)
+    check_count("paths", paths)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must be a single state of dimension {model.dim}, "

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .validate import check_count
+
 LINEAR_A = np.array([[0.9, 1.0], [0.0, 0.9]])
 
 
@@ -199,8 +201,7 @@ def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
     and one the system never reads raises ValueError, as does an x0 that is
     not finite or not shaped (n,) or (S, n) with n the system's dimension.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
+    check_count("steps", steps, least=0)
     spec = SYSTEMS[name]
     if h is not None and not spec.h:
         raise ValueError(f"h is not read by the {name} system")
@@ -288,8 +289,7 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
     """
     spec = SYSTEMS[system]
     steps = spec.steps if steps is None else steps
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    check_count("steps", steps)
     meta = {"system": system, "h": spec.h if h is None else h, "seed": seed,
             "grid": None, "steps": steps}
     if spec.b is not None:

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import (StableModel, as_batch, check_between, check_count, model_step,
-                            step_expr)
+from .deterministic import StableModel, as_batch, model_step, step_expr
 from .stochastic import StochasticModel, mdn_forward, mdn_nll
+from .validate import check_between, check_count
 
 
 # Adam's moment decay rates and denominator guard
@@ -57,6 +57,7 @@ class TrainConfig:
         if self.batch_size is not None:
             check_count("batch_size", self.batch_size)
         check_between("lr", self.lr, 0.0, np.inf)
+        check_count("seed", self.seed, least=0)
 
 
 @dataclass

@@ -1,0 +1,25 @@
+"""Refusing settings and counts by name.
+
+A setting or count of the wrong type or range fails where it is given, with
+a ValueError naming it (the CLI's usage error), rather than later inside
+numpy. This module imports nothing from the package, so any module can use
+it.
+"""
+
+from __future__ import annotations
+
+import numbers
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse by name a count that is not an integer (bools are not) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_between(name: str, value, lo: float, hi: float) -> None:
+    """Refuse by name a setting that is not a real number in (lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
+        raise ValueError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")

@@ -277,3 +277,69 @@ def test_fan_out_gradients_are_exact_and_not_aliased():
         assert not np.shares_memory(leaf.grad, store.grads[name])
     w.grad[...] = -99.0
     assert np.array_equal(store.grads["w"], want_w)
+
+
+# ---------------------------------------------------------------------------
+# primitives that compute in place keep the bits of their plain expressions
+
+KNOT = 0.1
+EDGES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, KNOT, np.nextafter(KNOT, 0.0),
+                  np.nextafter(KNOT, 1.0), 0.05, -3.0, 3.0, -1e-300, 5e-324])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _smooth_relu_before(u, d):
+    r = np.maximum(u, 0.0)
+    return np.where(r < d, r * r / (2.0 * d), r - d / 2.0)
+
+
+def _linear_before(x, W, b=None):
+    val = x @ W.T
+    if b is not None:
+        val = val + b
+    return val
+
+
+_SR_INPUTS = {"1-d": EDGES, "2-d": EDGES.reshape(1, -1),
+              **{f"0-d {u!r}": np.array(u) for u in EDGES[:6]}, "float": 0.05}
+
+
+@pytest.mark.parametrize("u", _SR_INPUTS.values(), ids=_SR_INPUTS.keys())
+def test_smooth_relu_keeps_the_bits_of_its_previous_expression(u):
+    want = _smooth_relu_before(np.asarray(u, dtype=np.float64), KNOT)
+    assert _same_bits(ad.smooth_relu(u, KNOT), want)
+    tape = Tape()
+    assert _same_bits(ad.smooth_relu(tape.input(u), KNOT).value, want)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("shape", [(3,), (5, 3)])
+def test_linear_keeps_the_bits_of_its_previous_expression(shape, bias):
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=shape)
+    W = rng.normal(size=(6, 3))
+    W[0] = 0.0
+    W[1, 0] = -np.inf
+    b = np.array([-0.0, np.nan, np.inf, -np.inf, KNOT, -1.5]) if bias else None
+    want = _linear_before(x, W, b)
+    assert _same_bits(ad.linear(x, W, b), want)
+    tape = Tape()
+    leaves = [tape.input(a) for a in (x, W, b) if a is not None]
+    assert _same_bits(ad.linear(*leaves).value, want)
+
+
+@pytest.mark.parametrize("u", [np.array(-0.0), np.array(np.nan), EDGES, EDGES.reshape(1, -1)],
+                         ids=["0-d -0.0", "0-d nan", "1-d", "2-d"])
+def test_expand_last_keeps_the_bits_of_expand_dims(u):
+    want = np.expand_dims(u, -1)
+    assert _same_bits(ad.expand_last(u), want)
+    tape = Tape()
+    x = tape.input(u)
+    out = ad.expand_last(x)
+    assert _same_bits(out.value, want)
+    tape.backward(ad.vsum(ad.mul(out, 2.0)))
+    assert _same_bits(x.grad, np.full(u.shape, 2.0))

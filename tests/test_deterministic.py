@@ -256,6 +256,138 @@ def test_solver_stall_names_the_input_row_and_its_own_bracket():
     assert "row 2" in str(err)
 
 
+def _solve_before(ray, v, target, rootfind_tol=1e-3, max_newton=50, max_bisect=60):
+    """solve_gamma_batch as its loop was written before it was made lean:
+    a NaN in place of a zero slope, an isfinite test and both budget tests
+    on every iteration, and fresh bracket arrays."""
+    B = v.shape[0]
+    gamma, v_out = np.ones(B), v.copy()
+    n_newton, n_bisect = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    g = v - target
+    rows = np.flatnonzero(np.abs(g) > rootfind_tol)
+    if not rows.size:
+        return gamma, v_out, n_newton, n_bisect
+    if rows.size < B:
+        ray = ray.take(rows)
+    tc, gc = target[rows], g[rows]
+    gpc = ray.at(np.ones(rows.size))[1]
+    gam = np.ones(rows.size)
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    nn, nb = np.zeros(rows.size, dtype=int), np.zeros(rows.size, dtype=int)
+    while rows.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = gam - gc / np.where(gpc == 0.0, np.nan, gpc)
+        ok = (nn < max_newton) & np.isfinite(newton) & (lo < newton) & (newton < hi)
+        stalled = ~ok & (nb >= max_bisect)
+        if np.any(stalled):
+            i = int(np.flatnonzero(stalled)[0])
+            b = int(rows[i])
+            raise RootFindError(
+                f"gamma solve stalled in row {b}: bracket [{lo[i]:.6g}, {hi[i]:.6g}], "
+                f"|g| = {abs(gc[i]):.3g} > {rootfind_tol:.3g}",
+                row=b, lo=float(lo[i]), hi=float(hi[i]), residual=float(abs(gc[i])))
+        gam = np.where(ok, newton, 0.5 * (lo + hi))
+        nn += ok
+        nb += ~ok
+        v_c, gpc = ray.at(gam)
+        gc = v_c - tc
+        above = gc > 0.0
+        hi = np.where(above, gam, hi)
+        lo = np.where(above, lo, gam)
+        going = np.abs(gc) > rootfind_tol
+        if not going.all():
+            done = ~going
+            r = rows[done]
+            gamma[r], v_out[r], n_newton[r], n_bisect[r] = gam[done], v_c[done], nn[done], nb[done]
+            rows, tc, gc, gpc = rows[going], tc[going], gc[going], gpc[going]
+            gam, lo, hi, nn, nb = gam[going], lo[going], hi[going], nn[going], nb[going]
+            if rows.size:
+                ray = ray.take(going)
+    return gamma, v_out, n_newton, n_bisect
+
+
+def _outcome(ray, v, target, solve, **kw):
+    """The solve's four arrays, or its RootFindError's row, bracket, residual and message."""
+    try:
+        return solve(ray, v, target, **kw)
+    except RootFindError as err:
+        return err.row, err.lo, err.hi, err.residual, str(err)
+
+
+def _same_outcome(got, want):
+    if isinstance(got[0], np.ndarray) != isinstance(want[0], np.ndarray):
+        return False
+    if not isinstance(got[0], np.ndarray):
+        return got == want
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class SlopeRay(PolyRay):
+    """PolyRay whose dV/dgamma reads `bad` on the flagged rows."""
+
+    def __init__(self, v, r2, flag, bad):
+        super().__init__(v, r2)
+        self.flag, self.bad = flag, bad
+
+    def take(self, rows):
+        return SlopeRay(self.v, self.r2[rows], self.flag[rows], self.bad)
+
+    def at(self, gamma):
+        v, dv = super().at(gamma)
+        dv[self.flag] = self.bad
+        return v, dv
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+def test_a_slope_that_is_zero_or_not_finite_bisects_as_before(bad):
+    # no NaN stands in for a zero slope and no isfinite test screens the
+    # proposal: gc/0 is +-inf, and any non-finite proposal fails lo < newton < hi;
+    # an infinite slope proposes the current point, an end of the bracket
+    v = PolyV(c2=1.0, c4=0.5)
+    Y = np.random.default_rng(3).uniform(-3.0, 3.0, size=(9, 2))
+    T = v.value(Y, None) * np.linspace(0.05, 0.95, 9)
+    flag = np.arange(9) % 3 == 0
+    for kw in (dict(), dict(rootfind_tol=1e-9), dict(rootfind_tol=1e-9, max_newton=2)):
+        got = _outcome(SlopeRay(v, (Y * Y).sum(-1), flag, bad), v.value(Y, None), T,
+                       solve_gamma_batch, **kw)
+        want = _outcome(SlopeRay(v, (Y * Y).sum(-1), flag, bad), v.value(Y, None), T,
+                        _solve_before, **kw)
+        assert _same_outcome(got, want)
+        _, _, nn, nb = got
+        assert np.all(nn[flag] == 0) and np.all(nb[flag] > 0) and np.all(nn[~flag] > 0)
+
+
+@pytest.mark.parametrize("budgets", [(0, 3), (2, 1), (1, 4), (50, 20)])
+def test_a_stall_raises_as_before(budgets):
+    # the budgets are tested only once the iteration count can reach them;
+    # the error names the same row, bracket and residual as before
+    max_newton, max_bisect = budgets
+    v = PolyV(c2=1.0, c4=0.5)
+    Y = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 3.0], [0.3, -1.2]])
+    T = np.array([0.99, 1.0, -1.0, 4.5, 1e-3])
+    kw = dict(rootfind_tol=1e-13, max_newton=max_newton, max_bisect=max_bisect)
+    got = _outcome(v.ray(Y, None), v.value(Y, None), T, solve_gamma_batch, **kw)
+    assert not isinstance(got[0], np.ndarray)
+    assert got == _outcome(v.ray(Y, None), v.value(Y, None), T, _solve_before, **kw)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 20, 256])
+@pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])
+def test_the_solve_keeps_the_bits_of_its_previous_loop(variant, batch):
+    lyap = LyapunovNet(variant, 2)
+    store = ParamStore()
+    lyap.init_params(store, np.random.default_rng(batch))
+    rng = np.random.default_rng(batch + 1)
+    Y = rng.uniform(-6.0, 6.0, size=(batch, 2)) * 10.0 ** rng.integers(-2, 2, size=(batch, 1))
+    v = lyap.value(Y, store)
+    T = v * rng.uniform(0.01, 0.999, size=batch)
+    T[::5] = v[::5] - 1e-4                  # rows that stop at gamma = 1
+    for kw in (dict(), dict(rootfind_tol=1e-10), dict(rootfind_tol=1e-10, max_newton=1),
+               dict(rootfind_tol=1e-12, max_newton=0, max_bisect=8)):
+        got = _outcome(lyap.ray(Y, store), v, T, solve_gamma_batch, **kw)
+        assert _same_outcome(got, _outcome(lyap.ray(Y, store), v, T, _solve_before, **kw))
+
+
 @pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])
 def test_implicit_residuals_and_budgets_on_random_nets(variant):
     hits = 0
@@ -629,6 +761,16 @@ def test_rollout_shapes_and_v_trace():
     traj = rollout(model, store, batch, 10)
     assert traj.shape == (4, 11, 2)
     assert np.array_equal(traj[:, 0], batch)
+
+
+def test_rollout_refuses_a_step_count_that_is_not_a_count():
+    # 2.5 used to end in numpy's TypeError, and True ran one step
+    model, store = _fresh("implicit", "icnn", seed=2)
+    for steps, named in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                         ("3", "an integer, got '3'"), (-1, "at least 0, got -1")):
+        with pytest.raises(ValueError, match=f"^steps must be {named}"):
+            rollout(model, store, np.ones(2), steps)
+    assert rollout(model, store, np.ones(2), np.int64(0)).shape == (1, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -4,7 +4,7 @@ import pytest
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
 from stabledyn.lyapunov import EPSILON, VARIANTS, LyapunovNet
-from stabledyn.nets import D
+from stabledyn.nets import D, Mlp
 
 
 def _fresh(variant, dim=2, hidden=(6, 6), seed=0):
@@ -105,6 +105,26 @@ def test_icnn_z_layers_take_the_first_and_last_width():
     for hidden in ((4, 3, 9), ()):
         with pytest.raises(ValueError, match="one or two hidden widths"):
             LyapunovNet("icnn", 2, hidden=hidden)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_widths_that_are_not_counts_are_refused_by_name(variant):
+    # int(2.5) and int("3") used to build a (2, 3) net without a word
+    for hidden, named in (((2.5, 3), "an integer, got 2.5"), ((4, "3"), "an integer, got '3'"),
+                          ((True,), "an integer, got True"), ((0,), "at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"^a hidden width must be {named}"):
+            LyapunovNet(variant, 2, hidden=hidden)
+    assert LyapunovNet(variant, 2, hidden=np.array([4, 3])[:1]).hidden == (4,)
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        LyapunovNet(variant, 2.0)
+
+
+def test_mlp_refuses_a_layer_width_that_is_not_a_count():
+    for dims, named in (([2, 2.5, 0], "an integer, got 2.5"), ([2, 3, 0], "at least 1, got 0"),
+                        ([2, "3", 2], "an integer, got '3'")):
+        with pytest.raises(ValueError, match=f"^a layer width must be {named}"):
+            Mlp(dims)
+    assert Mlp([np.int64(2), 3, 2]).n_layers == 2
 
 
 def test_clamp_projects_constrained_weights():
@@ -322,3 +342,63 @@ def test_a_ray_given_g0_changes_no_bit():
     for a, b in zip(net.ray(Y, store).at(gamma),
                     net.ray(Y, store, net.origin(store)).at(gamma)):
         assert np.array_equal(a, b)
+
+
+def _sr_pair_before(a, da):
+    s = np.minimum(np.maximum(a / D, 0.0), 1.0)
+    return s * (a - (0.5 * D) * s), s * da
+
+
+def _ray_at_before(net, store, Y, gamma):
+    """V(gamma*Y) and dV/dgamma as Ray.at computed them before it ran in
+    place: the same operations, one plain expression each."""
+    def P(name):
+        return store.values[f"V.{name}"]
+
+    sq = (Y * Y).sum(axis=-1)
+    gc = gamma[:, None]
+    if net.variant == "icnn":
+        W0Y, W1Y, w2Y = Y @ P("W0").T, Y @ P("W1").T, Y @ P("w2")[0]
+        U1, u2 = P("U1"), P("u2")
+        z, dz = _sr_pair_before(gc * W0Y + P("b0"), W0Y)
+        z, dz = _sr_pair_before((z @ U1.T + P("b1")) + gc * W1Y, dz @ U1.T + W1Y)
+        excess = ((z @ u2.T + P("b2"))[:, 0] + gamma * w2Y) - net.origin(store)
+        d_excess = (dz @ u2.T)[:, 0] + w2Y
+    else:
+        W0Y = Y @ P("W0").T
+        a, da = gc * W0Y, W0Y
+        layers = len(net.hidden) + 1
+        for i in range(layers):
+            if i:
+                W = P(f"W{i}")
+                a, da = z @ W.T, dz @ W.T
+            if i < layers - 1 or net.variant == "convex_lnn":
+                z, dz = _sr_pair_before(a, da)
+            else:
+                z, dz = a, da
+        excess = (z * z).sum(axis=-1)
+        d_excess = 2.0 * (z * dz).sum(axis=-1)
+    quad = (gamma * gamma * sq) * EPSILON
+    d_quad = (2.0 * EPSILON) * gamma * sq
+    if net.variant != "lnn":
+        excess, d_excess = _sr_pair_before(excess, d_excess)
+    return excess + quad, d_excess + d_quad
+
+
+@pytest.mark.parametrize("batch", [1, 4, 20, 256])
+@pytest.mark.parametrize("variant,hidden", [*_RAY_NETS, ("lnn", ())])
+def test_ray_keeps_the_bits_of_its_previous_expressions(variant, hidden, batch):
+    net, store = _fresh(variant, hidden=hidden, seed=6)
+    rng = np.random.default_rng(batch)
+    # rows at every scale, the origin among them, and gamma = 0 and 1
+    Y = rng.uniform(-6.0, 6.0, size=(batch, 2)) * 10.0 ** rng.integers(-8, 2, size=(batch, 1))
+    Y[-1] = 0.0
+    gamma = 1.0 - rng.random(batch)
+    gamma[0] = 1.0
+    if batch > 2:
+        gamma[1] = 0.0
+    ray = net.ray(Y, store)
+    for _ in range(2):        # a second call on the same ray reads the same bits
+        v, dv = ray.at(gamma)
+        want_v, want_dv = _ray_at_before(net, store, Y, gamma)
+        assert np.array_equal(v, want_v) and np.array_equal(dv, want_dv)

@@ -251,6 +251,16 @@ def test_stochastic_rollout_refuses_a_non_finite_start(bad):
                            np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("steps,paths,named", [
+    (2.5, 2, "steps must be an integer, got 2.5"), (True, 2, "steps must be an integer, got True"),
+    (-1, 2, "steps must be at least 0, got -1"), (5, 2.5, "paths must be an integer, got 2.5"),
+    (5, True, "paths must be an integer, got True"), (5, 0, "paths must be at least 1, got 0")])
+def test_stochastic_rollout_refuses_counts_by_name(steps, paths, named):
+    model, store = _fresh("implicit", "icnn", seed=10)
+    with pytest.raises(ValueError, match=f"^{named}"):
+        stochastic_rollout(model, store, np.ones(2), steps, paths, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("shape", [(3,), (1, 2), (3, 4, 2)])
 def test_stochastic_rollout_refuses_a_start_of_the_wrong_shape(shape):
     model, store = _fresh("implicit", "icnn", seed=10)

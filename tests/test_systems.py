@@ -329,3 +329,13 @@ def test_a_step_or_gain_the_system_never_reads_is_refused_by_name(system, kw):
 def test_grid_count_below_one_is_refused_by_name(points):
     with pytest.raises(ValueError, match="grid_points must be at least 1"):
         generate_transitions("saturated", steps=2, grid_points=points)
+
+
+@pytest.mark.parametrize("steps,named", [(2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                                         ("3", "an integer, got '3'")])
+def test_a_step_count_that_is_not_an_integer_is_refused_by_name(steps, named):
+    # 2.5 used to end in numpy's TypeError, and True simulated one step
+    with pytest.raises(ValueError, match=f"^steps must be {named}"):
+        simulate("linear", np.ones(2), steps)
+    with pytest.raises(ValueError, match=f"^steps must be {named}"):
+        generate_transitions("linear", steps=steps, grid_points=2)

@@ -39,12 +39,13 @@ def test_adam_rejects_nonfinite_gradient():
 
 @pytest.mark.parametrize("bad", [dict(epochs=0), dict(lr=0.0), dict(lr=float("nan")),
                                  dict(batch_size=0), dict(batch_size=-5),
-                                 dict(lr=float("inf"))])
+                                 dict(lr=float("inf")), dict(seed=-1)])
 def test_train_config_refuses_settings_that_cannot_train(bad):
-    # epochs=0 would leave no loss to report, batch_size<1 would run no batch
-    with pytest.raises(ValueError):
+    # epochs=0 would leave no loss to report, batch_size<1 would run no batch,
+    # and numpy's SeedSequence refuses a negative seed only inside train
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
         TrainConfig(**bad)
-    TrainConfig(epochs=1, batch_size=1)
+    TrainConfig(epochs=1, batch_size=1, seed=0)
 
 
 def _linear_data(n=120, seed=0):
@@ -288,7 +289,8 @@ def test_adam_refuses_a_state_built_for_another_layout(change):
 
 @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("epochs", 3.0), ("epochs", True),
                                          ("batch_size", 2.5), ("batch_size", np.float64(4.0)),
-                                         ("batch_size", False), ("batch_size", "8")])
+                                         ("batch_size", False), ("batch_size", "8"),
+                                         ("seed", "1"), ("seed", 1.5), ("seed", True)])
 def test_train_config_refuses_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         TrainConfig(**{field: value})
@@ -297,7 +299,8 @@ def test_train_config_refuses_non_integer_counts(field, value):
 def test_train_config_takes_numpy_integers():
     X, Y = _linear_data(12)
     model, store = _small_pair()[0]
-    report = train(model, store, X, Y, TrainConfig(epochs=np.int64(2), batch_size=np.int32(5)))
+    report = train(model, store, X, Y, TrainConfig(epochs=np.int64(2), batch_size=np.int32(5),
+                                                   seed=np.int64(3)))
     assert report.epochs == 2 and len(report.losses) == 2
 
 
