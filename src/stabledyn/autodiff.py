@@ -381,8 +381,10 @@ def tanh(a):
 def sigmoid(a):
     tape = _tape_of(a)
     av = value_of(a)
-    s = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))),
-                 np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+    # 1/(1 + e) and e/(1 + e) with e = exp(-|a|), which never overflows
+    e = np.exp(-np.abs(av))
+    d = 1.0 + e
+    s = np.where(av >= 0, 1.0 / d, e / d)
     if tape is None:
         return s
     return _node(tape, s, [(a, lambda g: g * s * (1.0 - s))])

@@ -20,11 +20,14 @@ path, built from the autodiff primitives, certifies every step: on raw
 arrays for inference (model_step) and on a tape for training (step_expr).
 Both make one decision on raw values (_decide), reported as the step's
 StepInfo: which rows intervene and what gamma puts them back. The raw path
-(certified_gamma_raw) evaluates V(x) and V(y) in one stacked call for up to
-STACK_ROWS / 2 rows and builds g(0) once per step; the gamma solve walks
-each intervening row's ray gamma*y (LyapunovNet.ray) from the V(y) it holds.
-The StepInfo carries the raw V values the step computed, so checking its
-certificate needs V again only where the step never evaluated it.
+(certified_gamma_raw) builds g(0) once per step and evaluates V(x) and V(y)
+in one stacked pass for up to STACK_ROWS / 2 rows. In implicit mode that
+pass runs along the rays gamma*y (LyapunovNet.ray) at gamma = 1 and reads
+dV/dgamma with V, on raw and recorded steps alike; the gamma solve walks
+the intervening rows' rays from the V(y) and the slope the pass read, so
+its first Newton step needs no evaluation of its own. The StepInfo carries
+the raw V values the step computed, so checking its certificate needs V
+again only where the step never evaluated it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,12 @@ MAX_BISECT = 60
 # the raw V pass stacks X and y into one call up to this many rows. Past
 # about 100 KB per (rows, width) temporary numpy's cost per element rises:
 # at width 25 a stacked step measured faster than the separate calls at
-# batch 128 and slower from batch 192, on random and on trained models
+# batch 128 and slower from batch 192, on random and on trained models.
+# The implicit pass along the rays at gamma = 1 keeps the threshold: the
+# stacked ray pass took 0.74/0.76/0.83 (icnn) and 0.75/0.82/0.88 (lnn) of
+# a value call on X plus the ray pass on y at batch 64/96/128 (medians of
+# 21 interleaved timings, one thread, 2-core x86_64), and from 0.89 to 1.7
+# of it at batch 192 from run to run
 STACK_ROWS = 256
 
 
@@ -189,20 +197,22 @@ def convex_gamma(v_x, v_y, beta: float):
 # ---------------------------------------------------------------------------
 # gamma by root finding
 
-def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
+def solve_gamma_batch(ray: Ray, v: np.ndarray, slope: np.ndarray, target: np.ndarray,
                       rootfind_tol: float = 1e-3, max_newton: int = MAX_NEWTON,
                       max_bisect: int = MAX_BISECT):
     """Solve V(gamma_b * Y_b) = target_b rowwise on the bracket [0, 1].
 
-    ray is V along the rows Y (LyapunovNet.ray), and v is V(Y), which the
-    caller holds already. Assumes V(Y_b) > target_b > 0 for every row, which
-    gives g(0) = -target < 0 < g(1). A row already within rootfind_tol of
-    its target stops at gamma = 1; only the others evaluate dV/dgamma there.
-    Newton starts at gamma = 1; a proposal outside the open bracket becomes
-    a bisection step (so does a zero or NaN slope, whose proposal is not
-    finite), and every accepted point tightens the bracket using the sign of
-    g. After max_newton Newton steps the iteration continues with bisection
-    alone. Each iteration is one ray.at on the rows still iterating.
+    ray is V along the rows Y (LyapunovNet.ray); v and slope are V(Y) and
+    dV/dgamma at gamma = 1, which the caller holds already from one
+    ray.at(ones). Assumes V(Y_b) > target_b > 0 for every row, which gives
+    g(0) = -target < 0 < g(1). A row already within rootfind_tol of its
+    target stops at gamma = 1; the others take their first Newton step from
+    slope, with no evaluation of their own. Newton starts at gamma = 1; a
+    proposal outside the open bracket becomes a bisection step (so does a
+    zero or NaN slope, whose proposal is not finite), and every accepted
+    point tightens the bracket using the sign of g. After max_newton Newton
+    steps the iteration continues with bisection alone. Each iteration is
+    one ray.at on the rows still iterating.
 
     Returns (gamma, V at gamma, newton_iters, bisect_iters).
     """
@@ -221,7 +231,7 @@ def solve_gamma_batch(ray: Ray, v: np.ndarray, target: np.ndarray,
     if rows.size < B:
         ray = ray.take(rows)
     tc, gc = target[rows], g[rows]
-    gpc = ray.at(np.ones(rows.size))[1]
+    gpc = slope[rows]
     gam = np.ones(rows.size)
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
     nn = np.zeros(rows.size, dtype=int)
@@ -297,17 +307,18 @@ def refuse_non_finite(X):
         raise ValueError(f"a certified step needs finite states; rows {rows.tolist()} are not")
 
 
-def _decide(model, store: ad.ParamStore, y, v_x, v_y, g0=None) -> StepInfo:
+def _decide(model, v_x, v_y, ray: Ray | None = None, slope=None) -> StepInfo:
     """The certificate's decision on raw values, as the step's StepInfo.
 
     model is a StableModel or a StochasticModel; its lyap, mode, beta and
     rootfind_tol define the certificate. A row intervenes where V(y) >
     beta*V(x), unless its prediction sits below the origin guard, within
-    rounding of the fixed point. In implicit mode the gamma solve walks the
-    intervening rows' rays (LyapunovNet.ray, with g0 as the icnn's g(0)),
-    starting from their v_y.
+    rounding of the fixed point. Implicit mode needs ray, the rays gamma*y
+    of every row (LyapunovNet.ray), and slope, dV/dgamma at gamma = 1 as the
+    ray.at(ones) that gave v_y read it: the gamma solve walks the
+    intervening rows' rays from their v_y and slope.
     """
-    B = y.shape[0]
+    B = v_x.shape[0]
     target = model.beta * v_x
     mask = (v_y > target) & (v_y >= ORIGIN_GUARD)
     gamma = np.ones(B)
@@ -325,7 +336,7 @@ def _decide(model, store: ad.ParamStore, y, v_x, v_y, g0=None) -> StepInfo:
             gamma[rows] = convex_gamma(v_x[rows], v_y[rows], model.beta)
         elif rows.size:
             gamma[rows], v_sol, n_newton[rows], n_bisect[rows] = solve_gamma_batch(
-                model.lyap.ray(y[rows], store, g0), v_y[rows], target[rows],
+                ray.take(rows), v_y[rows], slope[rows], target[rows],
                 rootfind_tol=model.rootfind_tol)
             residual[rows] = np.abs(v_sol - target[rows])
             v_cert[solvable] = v_sol
@@ -335,8 +346,12 @@ def _decide(model, store: ad.ParamStore, y, v_x, v_y, g0=None) -> StepInfo:
 def certified_gamma_raw(model, store: ad.ParamStore, y, X):
     """The raw certificate for the prediction y at the states X (B, dim).
 
-    Builds the icnn's g(0) once and evaluates V(X) and V(y) by value calls:
-    one call on the stacked rows while 2B <= STACK_ROWS, one each above.
+    Builds the icnn's g(0) once. Convex mode evaluates V(X) and V(y) by
+    value calls: one call on the stacked rows while 2B <= STACK_ROWS, one
+    each above. Implicit mode reads V(y) with dV/dgamma at gamma = 1 from
+    one ray pass, which the gamma solve starts from and walks on: the ray of
+    the stacked rows, which gives V(X) too, while 2B <= STACK_ROWS, or a
+    value call on X and the ray of y above.
     Returns (gamma, intervened, info, g0): gamma is None when no row
     intervenes; intervened is info.intervened, the full-batch mask, returned
     beside info only because perfbench/spans.py reads it as the second
@@ -345,12 +360,20 @@ def certified_gamma_raw(model, store: ad.ParamStore, y, X):
     B = X.shape[0]
     lyap = model.lyap
     g0 = lyap.origin(store)
-    if 2 * B > STACK_ROWS:
+    ray = slope = None
+    if model.mode == "implicit" and 2 * B > STACK_ROWS:
+        v_x, ray = lyap.value(X, store, g0=g0), lyap.ray(y, store, g0)
+        v_y, slope = ray.at(np.ones(B))
+    elif model.mode == "implicit":
+        ray = lyap.ray(np.concatenate([X, y]), store, g0)
+        v, dv = ray.at(np.ones(2 * B))
+        v_x, v_y, slope, ray = v[:B], v[B:], dv[B:], ray.take(slice(B, None))
+    elif 2 * B > STACK_ROWS:
         v_x, v_y = lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0)
     else:
         v = lyap.value(np.concatenate([X, y]), store, g0=g0)
         v_x, v_y = v[:B], v[B:]
-    info = _decide(model, store, y, v_x, v_y, g0)
+    info = _decide(model, v_x, v_y, ray, slope)
     return (info.gamma if info.intervened.any() else None), info.intervened, info, g0
 
 
@@ -363,16 +386,18 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, X,
     gradient surrogate on the intervening rows whose value is their gamma;
     rows left alone carry an exact 1.0. The model's backward_route picks the
     implicit surrogate. V(y) is recorded in convex mode, whose closed form
-    differentiates through it, and evaluated raw in implicit mode, where no
-    gradient reads it.
+    differentiates through it. In implicit mode, where no gradient reads it,
+    V(y) and dV/dgamma at gamma = 1 come raw from one pass along y's rays,
+    which the gamma solve starts from and walks on.
     """
     v_x = model.lyap.value(X, store, tape)
-    y_val = ad.value_of(y)
+    ray = slope = None
     if model.mode == "convex":
         v_y = model.lyap.value(y, store, tape)
     else:
-        v_y = model.lyap.value(y_val, store)
-    vars(info).update(vars(_decide(model, store, y_val, ad.value_of(v_x), ad.value_of(v_y))))
+        ray = model.lyap.ray(ad.value_of(y), store)
+        v_y, slope = ray.at(np.ones(X.shape[0]))
+    vars(info).update(vars(_decide(model, ad.value_of(v_x), ad.value_of(v_y), ray, slope)))
     idx = np.flatnonzero(info.intervened)
     if idx.size == 0:
         return None

@@ -242,7 +242,7 @@ class Ray:
         self.sq, self.fixed = sq, fixed
 
     def take(self, rows) -> Ray:
-        """The ray of the rows Y[rows] (an index array or a boolean mask)."""
+        """The ray of the rows Y[rows] (an index array, a boolean mask or a slice)."""
         return Ray(self.lyap, self.store, self.g0, self.sq[rows],
                    tuple(f[rows] for f in self.fixed))
 

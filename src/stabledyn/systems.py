@@ -199,9 +199,12 @@ def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
     from the stream seed+i, so it equals simulate(name, x0[i], steps,
     seed=seed+i) bit for bit. h and b left as None take the system's own,
     and one the system never reads raises ValueError, as does an x0 that is
-    not finite or not shaped (n,) or (S, n) with n the system's dimension.
+    not finite or not shaped (n,) or (S, n) with n the system's dimension,
+    and a seed that is neither None nor an integer of at least 0.
     """
     check_count("steps", steps, least=0)
+    if seed is not None:
+        check_count("seed", seed, least=0)
     spec = SYSTEMS[name]
     if h is not None and not spec.h:
         raise ValueError(f"h is not read by the {name} system")
@@ -290,6 +293,7 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
     spec = SYSTEMS[system]
     steps = spec.steps if steps is None else steps
     check_count("steps", steps)
+    check_count("seed", seed, least=0)
     meta = {"system": system, "h": spec.h if h is None else h, "seed": seed,
             "grid": None, "steps": steps}
     if spec.b is not None:
@@ -302,8 +306,7 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
         meta["x0"] = x0.tolist()
         starts = x0   # one start keeps the cheaper single-state path
     else:
-        if grid_points < 1:
-            raise ValueError(f"grid_points must be at least 1, got {grid_points}")
+        check_count("grid_points", grid_points)
         meta["grid"] = {"lo": lo, "hi": hi, "points": grid_points}
         starts = grid_starts(lo, hi, grid_points, spec.dim)
     traj = simulate(system, starts, steps, seed=seed, h=h, b=b)

@@ -140,8 +140,8 @@ def test_02_root_finder_residuals_budgets_and_quadratic_oracle():
         y = rng.uniform(-4.0, 4.0, size=(1, 2))
         target = np.array([rng.uniform(0.05, 0.95) * float((y * y).sum())])
         quad = QuadV()
-        g, _, _, nb = solve_gamma_batch(quad.ray(y, None), quad.value(y, None), target,
-                                        rootfind_tol=1e-12)
+        ray = quad.ray(y, None)
+        g, _, _, nb = solve_gamma_batch(ray, *ray.at(np.ones(1)), target, rootfind_tol=1e-12)
         exact = np.sqrt(target[0]) / np.linalg.norm(y)
         worst_gap = max(worst_gap, abs(float(g[0]) - exact))
         max_bisect = max(max_bisect, int(nb[0]))

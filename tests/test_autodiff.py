@@ -343,3 +343,21 @@ def test_expand_last_keeps_the_bits_of_expand_dims(u):
     assert _same_bits(out.value, want)
     tape.backward(ad.vsum(ad.mul(out, 2.0)))
     assert _same_bits(x.grad, np.full(u.shape, 2.0))
+
+
+def test_sigmoid_keeps_the_bits_of_its_three_exponential_form():
+    # exp(-|a|) is computed once, and both branches are formed from it and
+    # 1 + it with the same operations as before, so the raw and taped value
+    # and the gradient keep their bits, at the signed zeros, the infinities,
+    # NaN and where exp(|a|) would overflow
+    a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 3.5, -2.25])
+    w = np.linspace(0.5, 2.0, a.size)
+    old = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                   np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+    assert ad.sigmoid(a).tobytes() == old.tobytes()
+    tape = Tape()
+    x = tape.input(a)
+    s = ad.sigmoid(x)
+    assert s.value.tobytes() == old.tobytes()
+    tape.backward(ad.vsum(ad.mul(s, w)))
+    assert x.grad.tobytes() == (w * old * (1.0 - old)).tobytes()

@@ -41,8 +41,11 @@ class PolyRay:
 
 
 def _solve(lyap, store, Y, target, **kw):
-    """solve_gamma_batch on the rays of Y, started from V(Y)."""
-    return solve_gamma_batch(lyap.ray(Y, store), lyap.value(Y, store), target, **kw)
+    """solve_gamma_batch on the rays of Y, started from V(Y) and dV/dgamma
+    at gamma = 1 as one pass along the rays reads them."""
+    ray = lyap.ray(Y, store)
+    v, slope = ray.at(np.ones(Y.shape[0]))
+    return solve_gamma_batch(ray, v, slope, target, **kw)
 
 
 def _fresh(mode, variant, seed=0, expand=None, **kw):
@@ -306,6 +309,11 @@ def _solve_before(ray, v, target, rootfind_tol=1e-3, max_newton=50, max_bisect=6
     return gamma, v_out, n_newton, n_bisect
 
 
+def _given_pass(ray, v, target, **kw):
+    """solve_gamma_batch given the slope that a pass over every row reads."""
+    return solve_gamma_batch(ray, v, ray.at(np.ones(v.shape[0]))[1], target, **kw)
+
+
 def _outcome(ray, v, target, solve, **kw):
     """The solve's four arrays, or its RootFindError's row, bracket, residual and message."""
     try:
@@ -349,7 +357,7 @@ def test_a_slope_that_is_zero_or_not_finite_bisects_as_before(bad):
     flag = np.arange(9) % 3 == 0
     for kw in (dict(), dict(rootfind_tol=1e-9), dict(rootfind_tol=1e-9, max_newton=2)):
         got = _outcome(SlopeRay(v, (Y * Y).sum(-1), flag, bad), v.value(Y, None), T,
-                       solve_gamma_batch, **kw)
+                       _given_pass, **kw)
         want = _outcome(SlopeRay(v, (Y * Y).sum(-1), flag, bad), v.value(Y, None), T,
                         _solve_before, **kw)
         assert _same_outcome(got, want)
@@ -366,7 +374,7 @@ def test_a_stall_raises_as_before(budgets):
     Y = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 3.0], [0.3, -1.2]])
     T = np.array([0.99, 1.0, -1.0, 4.5, 1e-3])
     kw = dict(rootfind_tol=1e-13, max_newton=max_newton, max_bisect=max_bisect)
-    got = _outcome(v.ray(Y, None), v.value(Y, None), T, solve_gamma_batch, **kw)
+    got = _outcome(v.ray(Y, None), v.value(Y, None), T, _given_pass, **kw)
     assert not isinstance(got[0], np.ndarray)
     assert got == _outcome(v.ray(Y, None), v.value(Y, None), T, _solve_before, **kw)
 
@@ -384,7 +392,7 @@ def test_the_solve_keeps_the_bits_of_its_previous_loop(variant, batch):
     T[::5] = v[::5] - 1e-4                  # rows that stop at gamma = 1
     for kw in (dict(), dict(rootfind_tol=1e-10), dict(rootfind_tol=1e-10, max_newton=1),
                dict(rootfind_tol=1e-12, max_newton=0, max_bisect=8)):
-        got = _outcome(lyap.ray(Y, store), v, T, solve_gamma_batch, **kw)
+        got = _outcome(lyap.ray(Y, store), v, T, _given_pass, **kw)
         assert _same_outcome(got, _outcome(lyap.ray(Y, store), v, T, _solve_before, **kw))
 
 
@@ -595,7 +603,7 @@ def test_recorded_step_matches_raw_step(mode, variant, integrating, route):
     if mode in ("projection", "none"):
         assert np.array_equal(raw, rec)
         return
-    # the raw step takes V(X) and V(y) from one call on the stacked rows and
+    # the raw step takes V(X) and V(y) from one pass on the stacked rows and
     # the recorded step from two, and V moves in its last bits with the rows
     # batched beside it: the steps agree to rounding, and on the rows away
     # from the switching surface they intervene alike
@@ -685,36 +693,43 @@ def test_raw_step_evaluates_v_once_plus_once_per_solver_iteration(monkeypatch, m
     X = np.random.default_rng(batch).uniform(-6, 6, size=(batch, 2))
     calls, ray_calls = _count_calls(monkeypatch)
     _, info = model_step(model, store, X, want_info=True)
-    # V(X) and V(y) by value calls alone: one on the stacked rows, or two
-    assert calls == ([2 * batch] if 2 * batch <= STACK_ROWS else [batch, batch])
-    # the batch solver walks the rays once per iteration of its slowest row,
-    # after one slope at gamma = 1 on the rows that iterate at all
+    stacked = 2 * batch <= STACK_ROWS
     iters = info.newton_iters + info.bisect_iters
-    assert mode == "implicit" or not iters.any()
+    if mode == "convex":
+        # V(X) and V(y) by value calls alone: one on the stacked rows, or two
+        assert calls == ([2 * batch] if stacked else [batch, batch])
+        assert ray_calls == [] and not iters.any()
+        return
+    # one ray pass reads V(y) and dV/dgamma at gamma = 1, and V(X) with them
+    # on the stacked rows or by one value call above; then the batch solver
+    # walks the rays once per iteration of its slowest row, taking its first
+    # Newton step from the pass's slope with no evaluation of its own
+    assert calls == ([] if stacked else [batch])
+    assert ray_calls[0] == (2 * batch if stacked else batch)
+    assert len(ray_calls) == 1 + int(iters.max())
     if iters.any():
-        assert ray_calls[0] == int((iters > 0).sum())
-        assert len(ray_calls) == 1 + int(iters.max())
-    else:
-        assert ray_calls == []
+        assert ray_calls[1] == int((iters > 0).sum())
 
 
 def test_the_solve_starts_from_the_v_it_is_given(monkeypatch):
     # a row already within rootfind_tol of its target stops at gamma = 1 with
     # the V it came with and is never evaluated; so does a row whose given V
-    # says so, whatever the ray would read
+    # says so, whatever the ray would read. The others take their first
+    # Newton step from the given slope, so the first ray evaluation is their
+    # first iterate
     model, store = _fresh("implicit", "icnn", seed=5)
     lyap = model.lyap
     Y = np.random.default_rng(7).uniform(-6, 6, size=(40, 2))
-    v = lyap.value(Y, store)
+    v, slope = lyap.ray(Y, store).at(np.ones(40))
     T = np.random.default_rng(8).uniform(0.01, 0.99, size=40) * v
     T[:5] = v[:5] - 1e-4
-    plain = solve_gamma_batch(lyap.ray(Y, store), v, T)
+    plain = solve_gamma_batch(lyap.ray(Y, store), v, slope, T)
     assert plain[2].sum() + plain[3].sum() > 0
     assert np.all(plain[0][:5] == 1.0) and np.array_equal(plain[1][:5], v[:5])
     _, ray_calls = _count_calls(monkeypatch)
     told = v.copy()
     told[5] = T[5]
-    gamma, v_at, nn, nb = solve_gamma_batch(lyap.ray(Y, store), told, T)
+    gamma, v_at, nn, nb = solve_gamma_batch(lyap.ray(Y, store), told, slope, T)
     assert ray_calls[0] == 34 and gamma[5] == 1.0 and v_at[5] == T[5]
     # the other rows iterate beside one row fewer, which may move the ray's
     # matmuls in their last bits
@@ -723,9 +738,40 @@ def test_the_solve_starts_from_the_v_it_is_given(monkeypatch):
     np.testing.assert_allclose(v_at[keep], plain[1][keep], rtol=1e-12, atol=0.0)
     assert np.array_equal(nn[keep], plain[2][keep]) and np.array_equal(nb[keep], plain[3][keep])
     # a ray given g(0) walks the same bits as one that builds its own
-    started = solve_gamma_batch(lyap.ray(Y, store, lyap.origin(store)), v, T)
+    started = solve_gamma_batch(lyap.ray(Y, store, lyap.origin(store)), v, slope, T)
     for a, b in zip(plain, started):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch", [1, 20, 64])
+@pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])
+def test_a_solve_given_the_pass_slope_solves_as_one_that_reads_its_own(variant, batch):
+    # the step's pass reads V and the slope on X and y stacked, and the
+    # previous loop read the slope itself on the iterating rows alone, so
+    # the two slopes may differ in their last bits: gamma and V agree to
+    # rounding, and every row iterates alike. On PolyV, whose ray is rowwise,
+    # the tests above pin the two bit for bit
+    lyap = LyapunovNet(variant, 2)
+    store = ParamStore()
+    lyap.init_params(store, np.random.default_rng(batch))
+    rng = np.random.default_rng(batch + 1)
+    X = rng.uniform(-6.0, 6.0, size=(batch, 2))
+    Y = rng.uniform(-6.0, 6.0, size=(batch, 2)) * 10.0 ** rng.integers(-2, 2, size=(batch, 1))
+    pass_ray = lyap.ray(np.concatenate([X, Y]), store, lyap.origin(store))
+    v, dv = pass_ray.at(np.ones(2 * batch))
+    v_y, slope, pass_ray = v[batch:], dv[batch:], pass_ray.take(slice(batch, None))
+    T = v_y * rng.uniform(0.01, 0.999, size=batch)
+    T[1::5] = np.maximum(v_y[1::5] - 1e-11, 0.5 * v_y[1::5])   # rows that stop at gamma = 1
+    iterated = False
+    for kw in (dict(), dict(rootfind_tol=1e-10), dict(rootfind_tol=1e-10, max_newton=1)):
+        given = solve_gamma_batch(pass_ray, v_y, slope, T, **kw)
+        own = _solve_before(lyap.ray(Y, store), v_y, T, **kw)
+        iterated |= bool((own[2] + own[3]).any())
+        for a, b in zip(given[:2], own[:2]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        for a, b in zip(given[2:], own[2:]):
+            assert np.array_equal(a, b)
+    assert iterated
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 3), (3,), ()])

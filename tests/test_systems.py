@@ -325,9 +325,14 @@ def test_a_step_or_gain_the_system_never_reads_is_refused_by_name(system, kw):
         generate_transitions(system, steps=2, grid_points=2, **kw)
 
 
-@pytest.mark.parametrize("points", [0, -3])
-def test_grid_count_below_one_is_refused_by_name(points):
-    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+@pytest.mark.parametrize("points,named", [(0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+                                          (2.5, "an integer, got 2.5"),
+                                          (True, "an integer, got True"),
+                                          ("3", "an integer, got '3'")])
+def test_a_grid_count_that_is_not_a_count_is_refused_by_name(points, named):
+    # 2.5 used to end in numpy's TypeError, and True ran and was saved as
+    # "points": true
+    with pytest.raises(ValueError, match=f"^grid_points must be {named}"):
         generate_transitions("saturated", steps=2, grid_points=points)
 
 
@@ -339,3 +344,25 @@ def test_a_step_count_that_is_not_an_integer_is_refused_by_name(steps, named):
         simulate("linear", np.ones(2), steps)
     with pytest.raises(ValueError, match=f"^steps must be {named}"):
         generate_transitions("linear", steps=steps, grid_points=2)
+
+
+@pytest.mark.parametrize("seed,named", [(1.5, "an integer, got 1.5"), ("1", "an integer, got '1'"),
+                                        (True, "an integer, got True"),
+                                        (-1, "at least 0, got -1")])
+def test_a_seed_that_is_not_a_count_is_refused_by_name(seed, named):
+    # 1.5 and "1" used to end in numpy's or Python's TypeError, -1 in numpy's
+    # ValueError, and True ran as seed 1
+    with pytest.raises(ValueError, match=f"^seed must be {named}"):
+        simulate("sde", np.ones(2), 3, seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be {named}"):
+        simulate("sde", np.ones((2, 2)), 3, seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be {named}"):
+        generate_transitions("sde", seed=seed, steps=2, grid_points=2)
+
+
+def test_a_seed_of_none_or_a_numpy_integer_still_runs():
+    assert simulate("linear", np.ones(2), 3, seed=None).shape == (4, 2)
+    one = simulate("sde", np.ones(2), 3, seed=np.int64(4))
+    assert np.array_equal(one, simulate("sde", np.ones(2), 3, seed=4))
+    X, _, meta = generate_transitions("sde", seed=0, steps=2, grid_points=2)
+    assert X.shape == (8, 2) and meta["seed"] == 0

@@ -7,7 +7,7 @@ from stabledyn import autodiff as ad
 from stabledyn import deterministic, training
 from stabledyn.autodiff import ParamStore, Tape
 from stabledyn.deterministic import BACKWARD_ROUTES, make_model, model_step
-from stabledyn.lyapunov import LyapunovNet
+from stabledyn.lyapunov import LyapunovNet, Ray
 from stabledyn.stochastic import make_stochastic_model
 from stabledyn.systems import generate_transitions
 from stabledyn.training import (AdamState, TrainConfig, adam_step, evaluate_mse,
@@ -468,6 +468,19 @@ def _v_rows(monkeypatch):
     return calls
 
 
+def _ray_rows(monkeypatch):
+    """The row count of every ray evaluation (Ray.at) from here on, in order."""
+    calls = []
+    plain = Ray.at
+
+    def counted(self, gamma):
+        calls.append(gamma.shape[0])
+        return plain(self, gamma)
+
+    monkeypatch.setattr(Ray, "at", counted)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["icnn", "lnn", "mixture"])
 def test_counting_an_implicit_step_evaluates_no_v(kind, monkeypatch):
     # the step carries V at every row's certified state: V(y) where it left
@@ -477,13 +490,19 @@ def test_counting_an_implicit_step_evaluates_no_v(kind, monkeypatch):
     else:
         model, store = _pushed_model("implicit", kind, "fixed_point", PUSH)
     X, _ = _batch()
-    pred = (training.mdn_forward(model, store, X).mu_mix if kind == "mixture"
-            else model_step(model, store, X))
+    if kind == "mixture":
+        out = training.mdn_forward(model, store, X)
+        pred, info = out.mu_mix, out.info
+    else:
+        pred, info = model_step(model, store, X, want_info=True)
     expected = _recount(model, store, X, pred)
-    calls = _v_rows(monkeypatch)
+    calls, ray_calls = _v_rows(monkeypatch), _ray_rows(monkeypatch)
     assert evaluate_violations(model, store, X) == expected
-    # one value call on V(X) and V(y) stacked, and none to count
-    assert calls == [2 * X.shape[0]]
+    # no value call: one ray pass on X and y stacked, then one ray
+    # evaluation per iteration of the gamma solve, and none to count
+    assert calls == []
+    assert ray_calls[0] == 2 * X.shape[0]
+    assert len(ray_calls) == 1 + int((info.newton_iters + info.bisect_iters).max())
 
 
 def test_counting_a_convex_mixture_evaluates_no_v(monkeypatch):
@@ -510,7 +529,7 @@ def test_counting_a_convex_mixture_evaluates_no_v(monkeypatch):
 def test_a_planted_breach_is_counted(route, monkeypatch):
     # a solver that claims convergence at gamma = 1, reporting V there, leaves
     # every intervening row at its free prediction, above the bound
-    def no_solve(ray, v, target, *args, **kwargs):
+    def no_solve(ray, v, slope, target, *args, **kwargs):
         n = v.shape[0]
         return np.ones(n), v, np.zeros(n, dtype=int), np.zeros(n, dtype=int)
 
@@ -528,22 +547,31 @@ def test_a_planted_breach_is_counted(route, monkeypatch):
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
 @pytest.mark.parametrize("variant", ["icnn", "lnn"])
 def test_a_taped_implicit_batch_evaluates_v_of_y_once(variant, route, monkeypatch):
-    # the decision reads V(y) raw, and the gamma solve starts from it rather
-    # than evaluating V again on the intervening rows of y
+    # the decision reads V(y) raw from one pass along y's rays, and the gamma
+    # solve starts from it and from that pass's slope rather than evaluating
+    # V or dV/dgamma again on the intervening rows of y
     model, store = _pushed_model("implicit", variant, route, PUSH)
     X, Y = _batch()
     y_rows = {row.tobytes() for row in model.fhat.forward(X, store)}
-    at_y = []
-    plain = LyapunovNet._eval
+    at_y, rays_of_y = [], []
+    plain, plain_ray = LyapunovNet._eval, LyapunovNet.ray
 
     def counted(self, x, *args, **kwargs):
         at_y.append({row.tobytes() for row in np.atleast_2d(ad.value_of(x))} <= y_rows)
         return plain(self, x, *args, **kwargs)
 
+    def counted_ray(self, rows, *args, **kwargs):
+        rays_of_y.append({row.tobytes() for row in rows} <= y_rows)
+        return plain_ray(self, rows, *args, **kwargs)
+
     monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    monkeypatch.setattr(LyapunovNet, "ray", counted_ray)
+    ray_calls = _ray_rows(monkeypatch)
     _, _, _, info = training.objective(model, store, Tape(), X, Y)
     assert 0 < info.intervened.sum() < X.shape[0]
-    assert sum(at_y) == 1
+    assert sum(at_y) == 0 and rays_of_y == [True]
+    assert ray_calls[0] == X.shape[0]
+    assert len(ray_calls) == 1 + int((info.newton_iters + info.bisect_iters).max())
 
 
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
