@@ -361,15 +361,6 @@ def scale_rows(x, s):
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
-def relu(a):
-    tape = _tape_of(a)
-    av = value_of(a)
-    val = np.maximum(av, 0.0)
-    if tape is None:
-        return val
-    return _node(tape, val, [(a, lambda g: g * (av > 0.0))])
-
-
 def tanh(a):
     tape = _tape_of(a)
     t = np.tanh(value_of(a))
@@ -415,27 +406,33 @@ def sqrt(a):
     return _node(tape, r, [(a, lambda g: g / (2.0 * r))])
 
 
-def _unit_clip(u):
-    """np.clip(u, 0, 1) bit for bit, -0.0 and NaN included, at less dispatch."""
-    return np.minimum(np.maximum(0.0, u), 1.0)
+def _unit_clip(m, d: float):
+    """clip(u/d, 0, 1) as min(m/d, 1) from m = max(u, 0): +0.0 for u < 0, a
+    zero of np.maximum's sign at u = -0.0. Always an array, 0-d included."""
+    s = np.asarray(m / d)
+    return np.minimum(s, 1.0, out=s)
+
+
+def smooth_relu_and_slope(u, d: float, out=None):
+    """(smooth_relu(u), its slope) on raw arrays, for value calls, the tape and
+    LyapunovNet.ray alike. The value goes to out, which may be u itself."""
+    val = np.maximum(u, 0.0, out=out)
+    s = _unit_clip(val, d)
+    val -= s * (0.5 * d)
+    val *= s
+    return val, s
 
 
 def smooth_relu(a, d: float):
-    """C1 ramp: 0 for u<=0, u^2/(2d) for 0<u<d, u-d/2 beyond."""
+    """C1 ramp s*(max(u, 0) - s*d/2) with slope s = clip(u/d, 0, 1): +0.0 for
+    u < 0 (the sign of the zero at u = -0.0 is unspecified), u^2/(2d) to 3 ulp
+    for 0 < u < d, u - d/2 beyond (NaN stays NaN)."""
     if d <= 0:
         raise ValueError("smooth_relu knot d must be positive")
     tape = _tape_of(a)
-    av = value_of(a)
-    r = np.maximum(av, 0.0)
-    inside = r < d
-    q = r * r
-    q /= 2.0 * d
-    r -= d / 2.0
-    # np.where, not a masked np.copyto, which measured slower at 256 x 25
-    val = np.where(inside, q, r)
+    val, slope = smooth_relu_and_slope(value_of(a), d)
     if tape is None:
         return val
-    slope = _unit_clip(av / d)
     return _node(tape, val, [(a, lambda g: g * slope)])
 
 
@@ -445,7 +442,7 @@ def smooth_relu_deriv(a, d: float):
         raise ValueError("smooth_relu knot d must be positive")
     tape = _tape_of(a)
     av = value_of(a)
-    val = _unit_clip(av / d)
+    val = _unit_clip(np.maximum(av, 0.0), d)
     if tape is None:
         return val
     inside = ((av > 0.0) & (av < d)) / d

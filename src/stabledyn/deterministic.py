@@ -4,8 +4,8 @@ Three ways to turn a free network prediction y = fhat(x) into a certified
 next state:
 
 * "convex"     closed-form scaling. Valid when V is convex (icnn or
-               convex_lnn): gamma = (bVx - relu(bVx - Vy)) / Vy with
-               b = beta, applied only when V(y) > beta*V(x).
+               convex_lnn): gamma = beta*V(x) / V(y), applied only when
+               V(y) > beta*V(x).
 * "implicit"   solve V(gamma*y) = beta*V(x) for gamma in (0, 1) with a
                safeguarded Newton iteration, any V variant. Gradients flow
                through the solution by implicit differentiation, either via
@@ -189,9 +189,12 @@ make_model = StableModel
 # gamma by closed form (convex V)
 
 def convex_gamma(v_x, v_y, beta: float):
-    """Scaling factor for rows already known to violate V(y) <= beta*V(x)."""
-    bvx = ad.mul(v_x, beta)
-    return ad.div(ad.sub(bvx, ad.relu(ad.sub(bvx, v_y))), v_y)
+    """beta*V(x)/V(y), for rows already known to violate V(y) <= beta*V(x).
+
+    The paper's (beta*V(x) - relu(beta*V(x) - V(y))) / V(y) has the same bits
+    and gradients on such rows: its relu is an exact 0 with a zero pullback.
+    """
+    return ad.div(ad.mul(v_x, beta), v_y)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ Along one ray gamma*Y the input's projections W0 Y (and the icnn's W1 Y and
 w2.Y) and |Y|^2 do not depend on gamma. ray(Y, store) makes them once, and
 its at(gamma) gives V(gamma*Y) with dV/dgamma by pushing one tangent through
 each layer (forward mode), with no reverse sweep: the pair the gamma solve
-iterates on. It serves raw arrays only.
+iterates on. It serves raw arrays only. Value calls, the tape and the ray
+share one smooth_relu (ad.smooth_relu_and_slope): at gamma = 1 a ray reads a
+value call's bits on the same rows.
 
 Gradients w.r.t. the input are built as expressions from the
 same primitives, so they can be recorded on a tape and differentiated again
@@ -307,18 +309,7 @@ class Ray:
 
 
 def _sr_pair(a, da):
-    """smooth_relu(a) and its tangent for the tangent da of a; a is
-    overwritten with the value.
-
-    With the slope s = clip(a/D, 0, 1), smooth_relu(a) = s*(a - s*D/2) on
-    every piece (0; a^2/(2D); a - D/2), so one clip serves both. It equals
-    ad.smooth_relu to rounding, not bit for bit.
-    """
-    s = a / D
-    np.maximum(s, 0.0, out=s)
-    np.minimum(s, 1.0, out=s)
-    t = s * (0.5 * D)
-    a -= t
-    a *= s
+    """smooth_relu(a), written over a, and its tangent s*da for the tangent da of a."""
+    a, s = ad.smooth_relu_and_slope(a, D, out=a)
     s *= da
     return a, s

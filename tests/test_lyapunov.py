@@ -316,6 +316,28 @@ def test_ray_matches_value_and_grad_along_the_ray(variant, hidden, batch):
     want_v, want_g = net.value_and_grad(gamma[:, None] * Y, store)
     np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(dv, (want_g * Y).sum(axis=-1), rtol=1e-12, atol=0.0)
+    # at gamma = 1 both read the same smooth_relu on the same batch: the same bits
+    one = gamma == 1.0
+    assert v[one].tobytes() == want_v[one].tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 20, 128, 129, 256])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_value_call_a_recorded_value_and_a_ray_at_one_read_the_same_bits(variant, batch):
+    # one smooth_relu formula serves all three; on one batch nothing else parts them
+    for seed in range(4):
+        net, store = _fresh(variant, hidden=(25, 25), seed=seed)
+        rng = np.random.default_rng(100 * seed + batch)
+        # rows at every scale from 1e-8 to 1e2, the origin among them
+        X = rng.uniform(-1.0, 1.0, size=(batch, 2)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(batch, 1))
+        if batch > 1 or seed == 0:
+            X[-1] = 0.0
+        raw = net.value(X, store)
+        tape = Tape()
+        recorded = ad.value_of(net.value(tape.input(X), store, tape))
+        v, _ = net.ray(X, store).at(np.ones(batch))
+        assert recorded.tobytes() == raw.tobytes(), seed
+        assert v.tobytes() == raw.tobytes(), seed
 
 
 @pytest.mark.parametrize("variant,hidden", _RAY_NETS)
