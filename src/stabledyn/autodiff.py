@@ -325,6 +325,17 @@ def col_slice(a, start, stop):
     return _node(tape, val, [(a, pull)])
 
 
+def concat_rows(a, b):
+    """The rows of a above the rows of b."""
+    tape = _tape_of(a, b)
+    av = value_of(a)
+    val = np.concatenate([av, value_of(b)])
+    if tape is None:
+        return val
+    n = av.shape[0]
+    return _node(tape, val, [(a, lambda g: g[:n]), (b, lambda g: g[n:])])
+
+
 def gather_rows(a, idx):
     tape = _tape_of(a)
     av = value_of(a)

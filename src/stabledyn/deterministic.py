@@ -18,16 +18,16 @@ next state:
 Steps are batched over rows; the scalar case is a batch of one. One code
 path, built from the autodiff primitives, certifies every step: on raw
 arrays for inference (model_step) and on a tape for training (step_expr).
-Both make one decision on raw values (_decide), reported as the step's
-StepInfo: which rows intervene and what gamma puts them back. The raw path
-(certified_gamma_raw) builds g(0) once per step and evaluates V(x) and V(y)
-in one stacked pass for up to STACK_ROWS / 2 rows. In implicit mode that
-pass runs along the rays gamma*y (LyapunovNet.ray) at gamma = 1 and reads
-dV/dgamma with V, on raw and recorded steps alike; the gamma solve walks
-the intervening rows' rays from the V(y) and the slope the pass read, so
-its first Newton step needs no evaluation of its own. The StepInfo carries
-the raw V values the step computed, so checking its certificate needs V
-again only where the step never evaluated it.
+Both make one V pass and one decision on its values (_decision), reported
+as the step's StepInfo: which rows intervene and what gamma puts them
+back. The pass evaluates V(x) and V(y) on the stacked rows for up to
+STACK_ROWS / 2 rows, in the same batches with a tape as without, so raw and
+recorded steps agree bit for bit. In implicit mode it runs raw along the
+rays gamma*y (LyapunovNet.ray) at gamma = 1 and reads dV/dgamma with V; the
+gamma solve walks the intervening rows' rays from there, and the tape
+records V(x) only on those rows. The StepInfo carries the raw V values the
+step computed, so checking its certificate needs V again only where the
+step never evaluated it.
 """
 
 from __future__ import annotations
@@ -346,37 +346,45 @@ def _decide(model, v_x, v_y, ray: Ray | None = None, slope=None) -> StepInfo:
     return StepInfo(mask, gamma, n_newton, n_bisect, residual, v_x, v_y, v_cert=v_cert)
 
 
-def certified_gamma_raw(model, store: ad.ParamStore, y, X):
-    """The raw certificate for the prediction y at the states X (B, dim).
+def _decision(model, store: ad.ParamStore, tape, y, X):
+    """The step's one V pass and one decision for the prediction y at the
+    states X (B, dim), raw or recorded alike: (info, v_x, v_y, g0).
 
-    Builds the icnn's g(0) once. Convex mode evaluates V(X) and V(y) by
-    value calls: one call on the stacked rows while 2B <= STACK_ROWS, one
-    each above. Implicit mode reads V(y) with dV/dgamma at gamma = 1 from
-    one ray pass, which the gamma solve starts from and walks on: the ray of
-    the stacked rows, which gives V(X) too, while 2B <= STACK_ROWS, or a
-    value call on X and the ray of y above.
-    Returns (gamma, intervened, info, g0): gamma is None when no row
-    intervenes; intervened is info.intervened, the full-batch mask, returned
-    beside info only because perfbench/spans.py reads it as the second
-    value; g0 is for any further raw V call of the same step.
+    The pass stacks X and y into one call while 2B <= STACK_ROWS, and makes
+    one call each above. Convex mode's pass is value calls, recorded on tape
+    if given, as its closed form differentiates through V(X) and V(y); v_x
+    and v_y are those values. Implicit mode's pass is raw: the rays of the
+    rows (a value call on X above) at gamma = 1, which read dV/dgamma with
+    V; the gamma solve starts from that V(y) and slope and walks on the rays.
+    g0 is the icnn's g(0), built once for a raw step's V calls; None on a tape.
     """
     B = X.shape[0]
     lyap = model.lyap
-    g0 = lyap.origin(store)
+    g0 = lyap.origin(store) if tape is None else None
+    stacked = 2 * B <= STACK_ROWS
     ray = slope = None
-    if model.mode == "implicit" and 2 * B > STACK_ROWS:
-        v_x, ray = lyap.value(X, store, g0=g0), lyap.ray(y, store, g0)
-        v_y, slope = ray.at(np.ones(B))
-    elif model.mode == "implicit":
-        ray = lyap.ray(np.concatenate([X, y]), store, g0)
-        v, dv = ray.at(np.ones(2 * B))
-        v_x, v_y, slope, ray = v[:B], v[B:], dv[B:], ray.take(slice(B, None))
-    elif 2 * B > STACK_ROWS:
-        v_x, v_y = lyap.value(X, store, g0=g0), lyap.value(y, store, g0=g0)
+    if model.mode == "implicit":
+        y = ad.value_of(y)
+        ray = lyap.ray(np.concatenate([X, y]) if stacked else y, store, g0)
+        v, slope = ray.at(np.ones(ray.sq.size))
+        if stacked:
+            v_x, v_y, slope, ray = v[:B], v[B:], slope[B:], ray.take(slice(B, None))
+        else:
+            v_x, v_y = lyap.value(X, store, g0=g0), v
+    elif stacked:
+        # V is a vector: its last axis holds the stacked rows
+        v = lyap.value(ad.concat_rows(X, y), store, tape, g0=g0)
+        v_x, v_y = ad.col_slice(v, 0, B), ad.col_slice(v, B, 2 * B)
     else:
-        v = lyap.value(np.concatenate([X, y]), store, g0=g0)
-        v_x, v_y = v[:B], v[B:]
-    info = _decide(model, v_x, v_y, ray, slope)
+        v_x, v_y = (lyap.value(r, store, tape, g0=g0) for r in (X, y))
+    return _decide(model, ad.value_of(v_x), ad.value_of(v_y), ray, slope), v_x, v_y, g0
+
+
+def certified_gamma_raw(model, store: ad.ParamStore, y, X):
+    """The raw certificate (_decision) for the prediction y at the states X:
+    (gamma, info.intervened, info, g0), gamma None when no row intervenes.
+    The mask is returned only because perfbench/spans.py reads it as out[1]."""
+    info, _, _, g0 = _decision(model, store, None, y, X)
     return (info.gamma if info.intervened.any() else None), info.intervened, info, g0
 
 
@@ -385,37 +393,28 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, X,
     """Recorded (B,) scaling factors for the prediction y at the states X, or
     None when no row intervenes; info receives the step's StepInfo.
 
-    _decide makes the decision on raw values. What is recorded is V(X) and a
-    gradient surrogate on the intervening rows whose value is their gamma;
-    rows left alone carry an exact 1.0. The model's backward_route picks the
-    implicit surrogate. V(y) is recorded in convex mode, whose closed form
-    differentiates through it. In implicit mode, where no gradient reads it,
-    V(y) and dV/dgamma at gamma = 1 come raw from one pass along y's rays,
-    which the gamma solve starts from and walks on.
+    The decision and its V pass are the raw step's (_decision). On the
+    intervening rows convex mode records its closed form on the pass's V;
+    implicit mode records V(X) and a gradient surrogate, picked by the
+    model's backward_route, whose value is the solved gamma. Rows left
+    alone carry an exact 1.0.
     """
-    v_x = model.lyap.value(X, store, tape)
-    ray = slope = None
-    if model.mode == "convex":
-        v_y = model.lyap.value(y, store, tape)
-    else:
-        ray = model.lyap.ray(ad.value_of(y), store)
-        v_y, slope = ray.at(np.ones(X.shape[0]))
-    vars(info).update(vars(_decide(model, ad.value_of(v_x), ad.value_of(v_y), ray, slope)))
+    step, v_x, v_y, _ = _decision(model, store, tape, y, X)
+    vars(info).update(vars(step))
     idx = np.flatnonzero(info.intervened)
     if idx.size == 0:
         return None
-    if model.mode != "convex" and np.any(info.gamma[idx] == 0.0):
+    if model.mode == "convex":
+        gam_i = convex_gamma(ad.gather_rows(v_x, idx), ad.gather_rows(v_y, idx), model.beta)
+    elif np.any(info.gamma[idx] == 0.0):
         # V(x) = 0: the root sits at gamma = 0 where grad V vanishes, so the
         # implicit derivative divides by zero; the closed form has no such problem
         raise ValueError("intervention at the origin; gamma gradient undefined there")
-
-    vx_i = ad.gather_rows(v_x, idx)
-    if model.mode == "convex":
-        gam_i = convex_gamma(vx_i, ad.gather_rows(v_y, idx), model.beta)
     else:
         surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
                      else _direct_gamma_node)
-        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx), vx_i, info.gamma[idx])
+        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx),
+                          model.lyap.value(X[idx], store, tape), info.gamma[idx])
     return ad.scatter_rows(gam_i, idx, info.intervened.size, fill=1.0)
 
 

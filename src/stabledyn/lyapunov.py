@@ -33,9 +33,9 @@ Along one ray gamma*Y the input's projections W0 Y (and the icnn's W1 Y and
 w2.Y) and |Y|^2 do not depend on gamma. ray(Y, store) makes them once, and
 its at(gamma) gives V(gamma*Y) with dV/dgamma by pushing one tangent through
 each layer (forward mode), with no reverse sweep: the pair the gamma solve
-iterates on. It serves raw arrays only. Value calls, the tape and the ray
-share one smooth_relu (ad.smooth_relu_and_slope): at gamma = 1 a ray reads a
-value call's bits on the same rows.
+iterates on. It serves raw arrays only. Value calls, raw or recorded, and
+the ray share one smooth_relu (ad.smooth_relu_and_slope): on the same rows,
+a recorded value call, a raw one and a ray at gamma = 1 read the same bits.
 
 Gradients w.r.t. the input are built as expressions from the
 same primitives, so they can be recorded on a tape and differentiated again

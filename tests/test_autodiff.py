@@ -170,6 +170,19 @@ def test_gather_scatter_roundtrip_gradient():
     assert np.allclose(store.grads["v"], [0.0, 2.0, 0.0, 6.0, 0.0])
 
 
+def test_concat_rows_hands_each_part_its_rows_gradient():
+    # a raw part above a recorded one, as a certified step stacks X and y
+    store = ParamStore()
+    store.add("b", np.arange(4.0).reshape(2, 2))
+    a = -np.ones((3, 2))
+    tape = Tape()
+    both = ad.concat_rows(a, tape.param(store, "b"))
+    assert np.array_equal(both.value, np.concatenate([a, store.values["b"]]))
+    assert np.array_equal(ad.concat_rows(a, store.values["b"]), both.value)
+    tape.backward(ad.vsum(ad.mul(both, both)))
+    assert np.array_equal(store.grads["b"], 2.0 * store.values["b"])
+
+
 def test_scatter_rows_fill_is_exact():
     tape = Tape()
     vals = tape.input(np.array([0.5]))

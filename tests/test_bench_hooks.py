@@ -120,12 +120,13 @@ def test_traced_calls_match_untraced_ones(tracer):
     t.active = False
 
 
-@pytest.mark.parametrize("workload", ["rollout", "mixture"])
+@pytest.mark.parametrize("workload", ["train", "rollout", "mixture"])
 def test_a_traced_benchmark_run_passes_its_checks(workload):
     # the whole tracer against the whole library, in the benchmark's own
     # process: a change in what a hooked call returns fails here, not only
-    # when the benchmark runs. Only a mixture run reaches the mixture head,
-    # the sigma tether and sampling
+    # when the benchmark runs. Only a train run reaches the recorded
+    # deterministic step (certified_gamma_expr), and only a mixture run the
+    # mixture head, the sigma tether and sampling
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],

@@ -633,38 +633,36 @@ def _step_cases():
 def test_recorded_step_matches_raw_step(mode, variant, integrating, route):
     model, store = _fresh(mode, variant, seed=19, expand=8.0,
                           integrating=integrating, backward_route=route)
-    # 64 rows, so every mode but none has rows on both sides of its switch
-    X = np.random.default_rng(20).uniform(-6, 6, size=(64, 2))
-    raw, info = model_step(model, store, X, want_info=True)
-    if mode != "none":
-        assert 0 < info.intervened.sum() < X.shape[0]
-    tape = Tape()
-    rec = ad.value_of(step_expr(model, store, tape, X))
-    assert np.array_equal(step_expr(model, store, None, X), raw)
-    if mode in ("projection", "none"):
-        assert np.array_equal(raw, rec)
-        return
-    # the raw step takes V(X) and V(y) from one pass on the stacked rows and
-    # the recorded step from two, and V moves in its last bits with the rows
-    # batched beside it: the steps agree to rounding, and on the rows away
-    # from the switching surface they intervene alike
-    np.testing.assert_allclose(raw, rec, rtol=1e-13, atol=0.0)
-    v_x = model.lyap.value(X, store)
-    v_y = model.lyap.value(model.fhat.forward(X, store), store)
-    target = model.beta * v_x
-    far = np.abs(v_y - target) > 1e-12 * target
-    assert np.array_equal(info.intervened[far], (v_y > target)[far])
+    # 64 rows, so every mode but none has rows on both sides of its switch,
+    # and the first batch above the stacked pass, where V(X) and V(y) come
+    # from separate calls
+    for batch in (64, STACK_ROWS // 2 + 1):
+        X = np.random.default_rng(20).uniform(-6, 6, size=(batch, 2))
+        raw, info = model_step(model, store, X, want_info=True)
+        if mode != "none":
+            assert 0 < info.intervened.sum() < X.shape[0]
+        rec = ad.value_of(step_expr(model, store, Tape(), X))
+        assert np.array_equal(step_expr(model, store, None, X), raw)
+        assert np.array_equal(raw, rec), batch
 
 
-@pytest.mark.parametrize("mode,variant", [("convex", "icnn"), ("implicit", "icnn"),
-                                          ("implicit", "lnn")])
-def test_a_batch_above_the_stacked_pass_steps_as_the_recorded_step(mode, variant):
-    # past STACK_ROWS the raw step makes the recorded step's V calls
-    model, store = _fresh(mode, variant, seed=19, expand=8.0)
-    X = np.random.default_rng(20).uniform(-6, 6, size=(STACK_ROWS // 2 + 1, 2))
-    raw, info = model_step(model, store, X, want_info=True)
-    assert 0 < info.intervened.sum() < X.shape[0]
-    assert np.array_equal(raw, ad.value_of(step_expr(model, store, Tape(), X)))
+_PAIRS = [(mode, variant) for mode in ("convex", "implicit", "projection", "none")
+          for variant in ("lnn", "icnn", "convex_lnn") if (mode, variant) != ("convex", "lnn")]
+
+
+@pytest.mark.parametrize("mode,variant", _PAIRS)
+def test_recorded_and_raw_steps_agree_bit_for_bit_at_every_batch(mode, variant):
+    # the recorded step takes its decision from the raw step's V pass, with
+    # the rows in the same batches, so no row differs, on the switching
+    # surface included: a model and states of their own for every batch size
+    # up to one past the stacked pass, with fhat's last layer as initialised
+    # and x11, which moves most rows
+    for batch in range(1, STACK_ROWS // 2 + 2):
+        for expand in (None, 11.0):
+            model, store = _fresh(mode, variant, seed=batch, expand=expand)
+            X = np.random.default_rng(1000 + batch).uniform(-6, 6, size=(batch, 2))
+            rec = ad.value_of(step_expr(model, store, Tape(), X))
+            assert np.array_equal(rec, model_step(model, store, X)), (batch, expand)
 
 
 # ---------------------------------------------------------------------------

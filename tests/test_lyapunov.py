@@ -235,7 +235,7 @@ def test_bias_free_variants_map_the_origin_to_exactly_zero(variant):
 
 
 def _srelu(u, d):
-    return np.where(u <= 0.0, 0.0, np.where(u < d, u * u / (2.0 * d), u - d / 2.0))
+    return ad.smooth_relu_and_slope(u, d)[0]
 
 
 def _icnn_full_body(net, store, x):

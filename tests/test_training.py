@@ -547,41 +547,51 @@ def test_a_planted_breach_is_counted(route, monkeypatch):
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
 @pytest.mark.parametrize("variant", ["icnn", "lnn"])
 def test_a_taped_implicit_batch_evaluates_v_of_y_once(variant, route, monkeypatch):
-    # the decision reads V(y) raw from one pass along y's rays, and the gamma
-    # solve starts from it and from that pass's slope rather than evaluating
-    # V or dV/dgamma again on the intervening rows of y
+    # the decision reads V(X), V(y) and dV/dgamma at gamma = 1 raw from the
+    # raw step's one pass along the rays of X and y stacked, and the gamma
+    # solve starts from it and walks on, one ray evaluation per iteration.
+    # The tape records V only at the intervening rows of X, then the
+    # surrogate's V at their solved states
     model, store = _pushed_model("implicit", variant, route, PUSH)
     X, Y = _batch()
-    y_rows = {row.tobytes() for row in model.fhat.forward(X, store)}
-    at_y, rays_of_y = [], []
+    y = model.fhat.forward(X, store)
+    evals, rays = [], []
     plain, plain_ray = LyapunovNet._eval, LyapunovNet.ray
 
-    def counted(self, x, *args, **kwargs):
-        at_y.append({row.tobytes() for row in np.atleast_2d(ad.value_of(x))} <= y_rows)
-        return plain(self, x, *args, **kwargs)
+    def counted(self, x, store, tape, *args, **kwargs):
+        evals.append((ad.value_of(x), tape is not None))
+        return plain(self, x, store, tape, *args, **kwargs)
 
     def counted_ray(self, rows, *args, **kwargs):
-        rays_of_y.append({row.tobytes() for row in rows} <= y_rows)
+        rays.append(rows)
         return plain_ray(self, rows, *args, **kwargs)
 
     monkeypatch.setattr(LyapunovNet, "_eval", counted)
     monkeypatch.setattr(LyapunovNet, "ray", counted_ray)
     ray_calls = _ray_rows(monkeypatch)
     _, _, _, info = training.objective(model, store, Tape(), X, Y)
-    assert 0 < info.intervened.sum() < X.shape[0]
-    assert sum(at_y) == 0 and rays_of_y == [True]
-    assert ray_calls[0] == X.shape[0]
+    idx = np.flatnonzero(info.intervened)
+    assert 0 < idx.size < X.shape[0]
+    assert len(rays) == 1 and np.array_equal(rays[0], np.concatenate([X, y]))
+    assert ray_calls[0] == 2 * X.shape[0]
     assert len(ray_calls) == 1 + int((info.newton_iters + info.bisect_iters).max())
+    # the direct route's node reads grad V at the solved states raw
+    assert [taped for _, taped in evals] == [True, route == "fixed_point"]
+    assert np.array_equal(evals[0][0], X[idx])
+    assert np.array_equal(evals[1][0], info.gamma[idx, None] * y[idx])
 
 
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
 @pytest.mark.parametrize("variant", ["icnn", "lnn"])
 def test_every_recorded_node_of_an_implicit_batch_gets_a_gradient(variant, route):
-    model, store = _pushed_model("implicit", variant, route, PUSH)
-    X, Y = _batch()
-    tape = Tape()
-    loss, _, _, info = training.objective(model, store, tape, X, Y)
-    assert 0 < info.intervened.sum() < X.shape[0]
-    tape.backward(loss)
-    idle = [i for i, node in enumerate(tape._nodes) if node.grad is None]
-    assert not idle, f"{len(idle)} of {len(tape._nodes)} nodes got no gradient"
+    # a batch where no row intervenes records no V at all
+    for scale in (NO_PUSH, PUSH):
+        model, store = _pushed_model("implicit", variant, route, scale)
+        X, Y = _batch()
+        tape = Tape()
+        loss, _, _, info = training.objective(model, store, tape, X, Y)
+        hits = info.intervened.sum()
+        assert (hits == 0) if scale == NO_PUSH else (0 < hits < X.shape[0])
+        tape.backward(loss)
+        idle = [i for i, node in enumerate(tape._nodes) if node.grad is None]
+        assert not idle, f"{len(idle)} of {len(tape._nodes)} nodes got no gradient at {scale}"
