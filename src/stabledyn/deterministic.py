@@ -39,7 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from .lyapunov import LyapunovNet, Ray
 from .nets import Mlp
-from .validate import check_between, check_count
+from .validate import check_between, check_count, check_states
 
 MODES = ("convex", "implicit", "projection", "none")
 BACKWARD_ROUTES = ("fixed_point", "direct")
@@ -293,9 +293,7 @@ def as_batch(x, dim: int, name: str = "x", single: bool = True):
     state, raises ValueError naming the argument and the shapes it takes.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in ((1, 2) if single else (2,)) or x.shape[-1] != dim:
-        takes = f"a state of dimension {dim} or a " if single else "a "
-        raise ValueError(f"{name} must be {takes}(batch, {dim}) array, got shape {x.shape}")
+    check_states(name, x.shape, dim, single)
     if x.ndim == 1:
         return x[None, :], True
     return x, False
@@ -356,11 +354,13 @@ def _decision(model, store: ad.ParamStore, tape, y, X):
     and v_y are those values. Implicit mode's pass is raw: the rays of the
     rows (a value call on X above) at gamma = 1, which read dV/dgamma with
     V; the gamma solve starts from that V(y) and slope and walks on the rays.
-    g0 is the icnn's g(0), built once for a raw step's V calls; None on a tape.
+    g0 is the icnn's g(0), built once wherever the pass runs raw (implicit
+    mode, or no tape) and handed to its V calls and ray; None on a taped
+    convex pass, whose value calls record their own.
     """
     B = X.shape[0]
     lyap = model.lyap
-    g0 = lyap.origin(store) if tape is None else None
+    g0 = lyap.origin(store) if tape is None or model.mode == "implicit" else None
     stacked = 2 * B <= STACK_ROWS
     ray = slope = None
     if model.mode == "implicit":

@@ -23,3 +23,11 @@ def check_between(name: str, value, lo: float, hi: float) -> None:
     """Refuse by name a setting that is not a real number in (lo, hi)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
         raise ValueError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+
+
+def check_states(name: str, shape: tuple, dim: int, single: bool = True) -> None:
+    """Refuse by name a shape that is not (batch, dim), or with single (dim,)
+    either, naming the shapes it takes."""
+    if len(shape) not in ((1, 2) if single else (2,)) or shape[-1] != dim:
+        takes = f"a state of dimension {dim} or a " if single else "a "
+        raise ValueError(f"{name} must be {takes}(batch, {dim}) array, got shape {shape}")

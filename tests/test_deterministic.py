@@ -709,17 +709,20 @@ def _count_calls(monkeypatch):
     """Row counts of every V evaluation (value, grad or value_and_grad) and
     every ray evaluation from here on, as two lists."""
     calls, ray_calls = [], []
-    plain_eval, plain_at = LyapunovNet._eval, Ray.at
+    plain_at = Ray.at
 
-    def counted(self, *args, **kwargs):
-        calls.append(args[0].shape[0])
-        return plain_eval(self, *args, **kwargs)
+    def counting(plain):
+        def counted(self, x, *args, **kwargs):
+            calls.append(ad.value_of(x).shape[0])
+            return plain(self, x, *args, **kwargs)
+        return counted
 
     def counted_at(self, gamma):
         ray_calls.append(gamma.shape[0])
         return plain_at(self, gamma)
 
-    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    for meth in ("value", "grad", "value_and_grad"):
+        monkeypatch.setattr(LyapunovNet, meth, counting(getattr(LyapunovNet, meth)))
     monkeypatch.setattr(Ray, "at", counted_at)
     return calls, ray_calls
 
@@ -748,6 +751,30 @@ def test_raw_step_evaluates_v_once_plus_once_per_solver_iteration(monkeypatch, m
     assert len(ray_calls) == 1 + int(iters.max())
     if iters.any():
         assert ray_calls[1] == int((iters > 0).sum())
+
+
+@pytest.mark.parametrize("batch", [20, 129])
+@pytest.mark.parametrize("mode", ["convex", "implicit"])
+def test_a_step_builds_g0_once_where_its_pass_runs_raw(monkeypatch, mode, batch):
+    # the raw step's V calls and ray share one g(0), and so do the recorded
+    # implicit step's raw pass (a ray on [X; y], or a value call on X beside
+    # the ray on y above 128 rows) and its solve; a recorded convex pass
+    # records its own on the tape
+    model, store = _fresh(mode, "icnn", seed=5, expand=20.0)
+    X = np.random.default_rng(batch).uniform(-6, 6, size=(batch, 2))
+    built = []
+    plain = LyapunovNet.origin
+
+    def counted(self, store):
+        built.append(self)
+        return plain(self, store)
+
+    monkeypatch.setattr(LyapunovNet, "origin", counted)
+    _, info = model_step(model, store, X, want_info=True)
+    assert info.intervened.any() and len(built) == 1
+    built.clear()
+    step_expr(model, store, Tape(), X)
+    assert len(built) == (mode == "implicit")
 
 
 def test_the_solve_starts_from_the_v_it_is_given(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -321,23 +323,53 @@ def test_ray_matches_value_and_grad_along_the_ray(variant, hidden, batch):
     assert v[one].tobytes() == want_v[one].tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, 20, 128, 129, 256])
+@pytest.mark.parametrize("batch", [None, 1, 2, 20, 128, 129, 256, 300])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_value_call_a_recorded_value_and_a_ray_at_one_read_the_same_bits(variant, batch):
-    # one smooth_relu formula serves all three; on one batch nothing else parts them
+    # raw calls run V's kernel and recorded ones the tape primitives, in one
+    # order of operations, and one smooth_relu formula serves both and the
+    # ray: on one batch nothing parts their V or grad V. batch None is a
+    # single (n,) state
     for seed in range(4):
         net, store = _fresh(variant, hidden=(25, 25), seed=seed)
-        rng = np.random.default_rng(100 * seed + batch)
+        rng = np.random.default_rng(100 * seed + (batch or 0))
+        rows = (batch,) if batch else ()
         # rows at every scale from 1e-8 to 1e2, the origin among them
-        X = rng.uniform(-1.0, 1.0, size=(batch, 2)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(batch, 1))
-        if batch > 1 or seed == 0:
+        X = rng.uniform(-1.0, 1.0, size=(*rows, 2)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(*rows, 1))
+        if batch is None and seed == 0:
+            X[:] = 0.0
+        elif batch and (batch > 1 or seed == 0):
             X[-1] = 0.0
-        raw = net.value(X, store)
+        raw_v, raw_g = net.value_and_grad(X, store)
+        g0 = net.origin(store)
         tape = Tape()
-        recorded = ad.value_of(net.value(tape.input(X), store, tape))
-        v, _ = net.ray(X, store).at(np.ones(batch))
-        assert recorded.tobytes() == raw.tobytes(), seed
-        assert v.tobytes() == raw.tobytes(), seed
+        x = tape.input(X)
+        rec_v, rec_g = net.value_and_grad(x, store, tape)
+        for v in (net.value(X, store), net.value(X, store, g0=g0),
+                  net.value(x, store, tape), rec_v):
+            assert ad.value_of(v).tobytes() == raw_v.tobytes(), seed
+        for g in (net.grad(X, store), net.grad(x, store, tape), rec_g):
+            assert ad.value_of(g).tobytes() == raw_g.tobytes(), seed
+        if batch:
+            v, _ = net.ray(X, store).at(np.ones(batch))
+            assert v.tobytes() == raw_v.tobytes(), seed
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_input_of_the_wrong_width_is_refused_by_name(variant):
+    net, store = _fresh(variant)
+    for shape in [(3, 3), (3,), (2, 1), (1, 2, 2), ()]:
+        x = np.ones(shape)
+        for tape in (None, Tape()):
+            xin = x if tape is None else tape.input(x)
+            for call in (net.value, net.grad, net.value_and_grad):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"x must be a state of dimension 2 or a (batch, 2) array, got shape {shape}")):
+                    call(xin, store, tape)
+    for shape in [(3, 3), (2,), (2, 1), (1, 2, 2)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"Y must be a (batch, 2) array, got shape {shape}")):
+            net.ray(np.ones(shape), store)
 
 
 @pytest.mark.parametrize("variant,hidden", _RAY_NETS)

@@ -455,16 +455,23 @@ def test_mixture_count_equals_a_full_batch_recount(mode, route, scale):
     assert evaluate_violations(model, store, X) == _recount(model, store, X, pred)
 
 
+def _hook_v(monkeypatch, note):
+    """Call note(x, taped) at every V evaluation from here on: every call of
+    value, grad or value_and_grad, raw or recorded."""
+    def counting(plain):
+        def counted(self, x, store, tape=None, **kwargs):
+            note(ad.value_of(x), tape is not None)
+            return plain(self, x, store, tape, **kwargs)
+        return counted
+
+    for meth in ("value", "grad", "value_and_grad"):
+        monkeypatch.setattr(LyapunovNet, meth, counting(getattr(LyapunovNet, meth)))
+
+
 def _v_rows(monkeypatch):
     """The row count of every V evaluation from here on, in order."""
     calls = []
-    plain = LyapunovNet._eval
-
-    def counted(self, x, *args, **kwargs):
-        calls.append(np.shape(ad.value_of(x))[0])
-        return plain(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    _hook_v(monkeypatch, lambda x, taped: calls.append(x.shape[0]))
     return calls
 
 
@@ -556,17 +563,13 @@ def test_a_taped_implicit_batch_evaluates_v_of_y_once(variant, route, monkeypatc
     X, Y = _batch()
     y = model.fhat.forward(X, store)
     evals, rays = [], []
-    plain, plain_ray = LyapunovNet._eval, LyapunovNet.ray
-
-    def counted(self, x, store, tape, *args, **kwargs):
-        evals.append((ad.value_of(x), tape is not None))
-        return plain(self, x, store, tape, *args, **kwargs)
+    plain_ray = LyapunovNet.ray
 
     def counted_ray(self, rows, *args, **kwargs):
         rays.append(rows)
         return plain_ray(self, rows, *args, **kwargs)
 
-    monkeypatch.setattr(LyapunovNet, "_eval", counted)
+    _hook_v(monkeypatch, lambda x, taped: evals.append((x, taped)))
     monkeypatch.setattr(LyapunovNet, "ray", counted_ray)
     ray_calls = _ray_rows(monkeypatch)
     _, _, _, info = training.objective(model, store, Tape(), X, Y)
