@@ -30,6 +30,7 @@ from .systems import (SYSTEMS, generate_transitions, load_transitions, save_tran
                       solve_discrete_lyapunov)
 from .training import (TrainConfig, evaluate_mse, evaluate_nll, evaluate_violations,
                        metric_of, objective, train)
+from .validate import check_count
 
 # train's flags that are not settings of the model or of TrainConfig
 TRAIN_IO = ("command", "config", "model", "v", "data", "out")
@@ -256,6 +257,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
+    check_count("seed", args.seed, least=0)
     model, store = load_model(args.model_file)
     x0 = args.x0
     if x0.size != model.dim:
@@ -327,6 +329,7 @@ def _cmd_lyap_solve(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.batch < 1:
         raise ValueError(f"--batch must be at least 1, got {args.batch}")
+    check_count("seed", args.seed, least=0)
     model, store, X, Y = _load_scored(args)
     rng = np.random.default_rng(args.seed)
     if X.shape[0] > args.batch:

@@ -39,7 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from .lyapunov import LyapunovNet, Ray
 from .nets import Mlp
-from .validate import check_between, check_count, check_states
+from .validate import check_between, check_count, check_states, check_widths
 
 MODES = ("convex", "implicit", "projection", "none")
 BACKWARD_ROUTES = ("fixed_point", "direct")
@@ -138,12 +138,7 @@ class Certified:
     def __post_init__(self):
         check_count("dim", self.dim)
         for name in ("hidden_f", "hidden_v"):
-            widths = getattr(self, name)
-            if not isinstance(widths, (list, tuple, np.ndarray)) or np.ndim(widths) != 1:
-                raise ValueError(f"{name} must be a list of layer widths, got {widths!r}")
-            for w in widths:
-                check_count(f"a {name} width", w)
-            setattr(self, name, tuple(int(w) for w in widths))
+            setattr(self, name, check_widths(name, getattr(self, name), f"a {name} width"))
         check_between("beta", self.beta, 0.0, 1.0)
         check_between("rootfind_tol", self.rootfind_tol, 0.0, np.inf)
         if self.mode not in self.MODES:

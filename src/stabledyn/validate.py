@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 def check_count(name: str, value, least: int = 1) -> None:
     """Refuse by name a count that is not an integer (bools are not) or is below least."""
@@ -17,6 +19,17 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_widths(name: str, widths, each: str) -> tuple:
+    """Refuse by name a list of layer widths that is not one, or a width in it
+    (called `each` in the message) that is not a count; return the widths as
+    a tuple of ints."""
+    if not isinstance(widths, (list, tuple, np.ndarray)) or np.ndim(widths) != 1:
+        raise ValueError(f"{name} must be a list of layer widths, got {widths!r}")
+    for w in widths:
+        check_count(each, w)
+    return tuple(int(w) for w in widths)
 
 
 def check_between(name: str, value, lo: float, hi: float) -> None:

@@ -264,6 +264,18 @@ def test_rollout_mdn_mean_and_samples(tmp_path, capsys):
     assert traj.read_bytes() != first
 
 
+def test_rollout_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    _, _, model = _train(tmp_path, capsys, data, model="mdn-convex",
+                         extra=("--k", "2"))
+    traj = tmp_path / "traj.csv"
+    code = main(["rollout", "--model-file", str(model), "--x0", "4,-3", "--steps", "4",
+                 "--seed", "-1", "--out", str(traj)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and not traj.exists()
+    assert "seed must be at least 0, got -1" in captured.err
+
+
 def test_eval_metrics(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     _, _, model = _train(tmp_path, capsys, data)
@@ -321,6 +333,16 @@ def test_gradcheck_saved_model(tmp_path, capsys):
     assert code == 0 and doc["ok"] and doc["max_rel_err"] < 1e-4
     code, doc = _run(argv + ["--threshold", "1e-18"], capsys)
     assert code == 1 and not doc["ok"]
+
+
+def test_gradcheck_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    data, _ = _gen(tmp_path, capsys)
+    _, _, model = _train(tmp_path, capsys, data, model="implicit", v="lnn")
+    code = main(["gradcheck", "--model-file", str(model), "--data", str(data),
+                 "--batch", "6", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "seed must be at least 0, got -1" in captured.err
 
 
 def test_config_defaults_and_flag_precedence(tmp_path, capsys):

@@ -117,6 +117,10 @@ def test_widths_that_are_not_counts_are_refused_by_name(variant):
         with pytest.raises(ValueError, match=f"^a hidden width must be {named}"):
             LyapunovNet(variant, 2, hidden=hidden)
     assert LyapunovNet(variant, 2, hidden=np.array([4, 3])[:1]).hidden == (4,)
+    for hidden in (5, "25", np.array(5)):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"hidden must be a list of layer widths, got {hidden!r}")):
+            LyapunovNet(variant, 2, hidden)
     with pytest.raises(ValueError, match="^dim must be an integer"):
         LyapunovNet(variant, 2.0)
 
@@ -127,6 +131,12 @@ def test_mlp_refuses_a_layer_width_that_is_not_a_count():
         with pytest.raises(ValueError, match=f"^a layer width must be {named}"):
             Mlp(dims)
     assert Mlp([np.int64(2), 3, 2]).n_layers == 2
+    for dims in (5, "2,3"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"layer_dims must be a list of layer widths, got {dims!r}")):
+            Mlp(dims)
+    with pytest.raises(ValueError, match="need at least input and output dims"):
+        Mlp([2])
 
 
 def test_clamp_projects_constrained_weights():
@@ -205,19 +215,47 @@ def test_convex_lnn_hand_computed_value():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_value_and_grad_are_trainable_expressions(variant):
-    # both V and its input gradient must backprop into the weights
-    rng = np.random.default_rng(17)
-    net, store = _fresh(variant, hidden=(4, 4), seed=3)
-    X = rng.uniform(-3.0, 3.0, size=(5, 2))
-    C = rng.normal(size=(5, 2))
+    # both V and its input gradient must backprop into the weights; beside
+    # two hidden widths, the icnn with one (its z-layers share it, the net
+    # (4, 4) builds) and with two that differ, so U1 is not square, and the
+    # bias-free stacks with none, where the first layer is the output layer
+    more = ((4,), (5, 3)) if variant == "icnn" else ((),)
+    for hidden in ((4, 4), *more):
+        rng = np.random.default_rng(17)
+        net, store = _fresh(variant, hidden=hidden, seed=3)
+        X = rng.uniform(-3.0, 3.0, size=(5, 2))
+        C = rng.normal(size=(5, 2))
 
-    def f(params, tape):
-        v, g = net.value_and_grad(X, params, tape)
-        out = ad.add(ad.mean(v), ad.mean(ad.mul(g, C)))
-        return out if tape is not None else float(out)
+        def f(params, tape):
+            v, g = net.value_and_grad(X, params, tape)
+            out = ad.add(ad.mean(v), ad.mean(ad.mul(g, C)))
+            return out if tape is not None else float(out)
 
-    report = grad_check(f, store, h=1e-5)
-    assert report.max_rel_err < 1e-4, (variant, report.max_rel_err, report.worst_param)
+        report = grad_check(f, store, h=1e-5)
+        assert report.max_rel_err < 1e-4, (variant, hidden, report.max_rel_err,
+                                           report.worst_param)
+
+
+# nodes one recorded call registers on a fresh tape, parameter leaves
+# included (and x's own leaf when x is recorded): (value, grad) for a raw x
+# and for a recorded x. value_and_grad registers what grad does
+_TAPE_NODES = [("icnn", (25, 25), (26, 40), (29, 44)), ("icnn", (7,), (26, 40), (29, 44)),
+               ("lnn", (25, 25), (10, 19), (13, 23)), ("lnn", (7,), (7, 13), (10, 17)),
+               ("convex_lnn", (25, 25), (12, 26), (15, 30)),
+               ("convex_lnn", (7,), (9, 20), (12, 24))]
+
+
+@pytest.mark.parametrize("variant,hidden,raw_x,recorded_x", _TAPE_NODES)
+def test_a_recorded_call_registers_a_fixed_number_of_nodes(variant, hidden, raw_x, recorded_x):
+    # training records V on every batch: the count pins what the tape holds
+    net, store = _fresh(variant, hidden=hidden, seed=2)
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(20, 2))
+    for recorded, (n_value, n_grad) in ((False, raw_x), (True, recorded_x)):
+        for call, want in ((net.value, n_value), (net.grad, n_grad),
+                           (net.value_and_grad, n_grad)):
+            tape = Tape()
+            call(tape.input(X) if recorded else X, store, tape)
+            assert len(tape._nodes) == want, (call.__name__, recorded)
 
 
 # -- g(0) without a zero-input forward pass --------------------------------
@@ -227,17 +265,34 @@ def test_bias_free_variants_map_the_origin_to_exactly_zero(variant):
     # V uses g itself as the excess g - g(0); that is exact only if phi(0) = 0
     for seed in range(6):
         net, store = _fresh(variant, dim=3, hidden=(7, 5), seed=seed)
-        assert np.all(net._mlp.forward(np.zeros(3), store) == 0.0), (variant, seed)
+        assert np.all(_phi(net, store, np.zeros(3)) == 0.0), (variant, seed)
         rng = np.random.default_rng(seed)
         for v in store.values.values():
             v[...] = rng.normal(scale=2.0, size=v.shape)
         net.clamp(store)
-        assert np.all(net._mlp.forward(np.zeros(3), store) == 0.0), (variant, seed)
+        assert np.all(_phi(net, store, np.zeros(3)) == 0.0), (variant, seed)
         assert net.value(np.zeros(3), store) == 0.0
 
 
 def _srelu(u, d):
     return ad.smooth_relu_and_slope(u, d)[0]
+
+
+def _phi(net, store, x):
+    """phi(x) of lnn or convex_lnn, one plain expression per layer."""
+    layers = len(net.hidden) + 1
+    for i in range(layers):
+        x = x @ store.values[f"V.W{i}"].T
+        if i < layers - 1 or net.variant == "convex_lnn":
+            x = _srelu(x, D)
+    return x
+
+
+def _kernel_excess(net, p, x):
+    """The icnn's g(x) - g(0) from V's kernel, on the parameters p (raw
+    arrays or a tape's leaves)."""
+    proj = (ad.linear(x, p["V.W0"], p["V.b0"]), ad.linear(x, p["V.W1"]), ad.linear(x, p["V.w2"]))
+    return net._layers(p, proj)[0]
 
 
 def _icnn_full_body(net, store, x):
@@ -264,15 +319,15 @@ def test_icnn_bias_only_g0_equals_the_full_body_at_the_origin():
         X = rng.uniform(-3.0, 3.0, size=(16, 2))
         X[0] = 0.0
         ref = _icnn_full_body(net, store, X) - _icnn_full_body(net, store, np.zeros(2))
-        excess, _ = net._icnn_body(X, store, None)
-        assert np.array_equal(excess, ref), seed
+        assert np.array_equal(_kernel_excess(net, store.values, X), ref), seed
         # x - y == 0 exactly only if x == y: the bias-only g(0) is the full
         # body's (a zero row inside a batch goes through another matmul kernel,
         # so only the single-state origin must come out exactly 0)
-        assert net._icnn_body(np.zeros(2), store, None)[0] == 0.0
+        assert _kernel_excess(net, store.values, np.zeros(2)) == 0.0
         assert net.value(np.zeros(2), store) == 0.0
         tape = Tape()
-        excess_t, _ = net._icnn_body(tape.input(X), store, tape)
+        leaves = {name: tape.param(store, name) for name in store.values}
+        excess_t = _kernel_excess(net, leaves, tape.input(X))
         assert np.array_equal(ad.value_of(excess_t), ref), seed
 
 
