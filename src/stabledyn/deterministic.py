@@ -8,8 +8,11 @@ next state:
                V(y) > beta*V(x).
 * "implicit"   solve V(gamma*y) = beta*V(x) for gamma in (0, 1) with a
                safeguarded Newton iteration, any V variant. Gradients flow
-               through the solution by implicit differentiation, either via
-               one fixed-point sweep (default) or closed-form Jacobians.
+               through the solution by implicit differentiation: one more
+               Newton step from the solved gamma, whose denominator
+               grad V(gamma*y)^T y the backward route records ("fixed_point",
+               the default) or holds raw ("direct", which leaves the
+               closed-form implicit derivative).
 * "projection" remove the ascending component of the step increment along
                grad V(x). Keeps grad V(x)^T (x' - x) <= 0 but does not by
                itself certify a decrease of V.
@@ -390,9 +393,8 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, X,
 
     The decision and its V pass are the raw step's (_decision). On the
     intervening rows convex mode records its closed form on the pass's V;
-    implicit mode records V(X) and a gradient surrogate, picked by the
-    model's backward_route, whose value is the solved gamma. Rows left
-    alone carry an exact 1.0.
+    implicit mode records V(X) and the gradient surrogate (_gamma_surrogate),
+    whose value is the solved gamma. Rows left alone carry an exact 1.0.
     """
     step, v_x, v_y, _ = _decision(model, store, tape, y, X)
     vars(info).update(vars(step))
@@ -406,10 +408,8 @@ def certified_gamma_expr(model, store: ad.ParamStore, tape: ad.Tape, y, X,
         # implicit derivative divides by zero; the closed form has no such problem
         raise ValueError("intervention at the origin; gamma gradient undefined there")
     else:
-        surrogate = (_fixed_point_gamma if model.backward_route == "fixed_point"
-                     else _direct_gamma_node)
-        gam_i = surrogate(model, store, tape, ad.gather_rows(y, idx),
-                          model.lyap.value(X[idx], store, tape), info.gamma[idx])
+        gam_i = _gamma_surrogate(model, store, tape, ad.gather_rows(y, idx),
+                                 model.lyap.value(X[idx], store, tape), info.gamma[idx])
     return ad.scatter_rows(gam_i, idx, info.intervened.size, fill=1.0)
 
 
@@ -486,7 +486,8 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     """Iterate model_step. x0 may be (n,) or (B, n).
 
     Returns trajectory of shape (steps+1, n) or (B, steps+1, n); with
-    record_v also the V values along it, shape (steps+1,) or (B, steps+1).
+    record_v also the V values along it, shape (steps+1,) or (B, steps+1),
+    from one V call over the whole trajectory after the loop.
     A start that is not finite raises ValueError.
     """
     check_count("steps", steps, least=0)
@@ -496,64 +497,39 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     B, n = X.shape
     traj = np.empty((B, steps + 1, n))
     traj[:, 0] = X
-    vs = np.empty((B, steps + 1)) if record_v else None
-    if record_v:
-        vs[:, 0] = model.lyap.value(X, store)
     cur = X
     for t in range(steps):
         cur = model_step(model, store, cur)
         traj[:, t + 1] = cur
-        if record_v:
-            vs[:, t + 1] = model.lyap.value(cur, store)
     if single:
         traj = traj[0]
-        if record_v:
-            vs = vs[0]
-    return (traj, vs) if record_v else traj
+    if not record_v:
+        return traj
+    return traj, model.lyap.value(traj.reshape(-1, n), store).reshape(traj.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
-# gradient surrogates for the solved gamma
+# the gradient surrogate for the solved gamma
 
-def _fixed_point_gamma(model, store, tape, y_i, vx_i, gamma):
+def _gamma_surrogate(model, store, tape, y_i, vx_i, gamma):
     """One more Newton map F(g) = g - (V(g y) - beta Vx)/(grad V(g y)^T y).
 
     The incoming gamma is held constant; at the root dF/dgamma = 0, so
     differentiating this single sweep gives the implicit derivative. The
-    forward value stays the solved gamma.
-    """
-    p = ad.scale_rows(y_i, gamma)
-    v_p, gv_p = model.lyap.value_and_grad(p, store, tape)
-    g = ad.sub(v_p, ad.mul(vx_i, model.beta))
-    gp = ad.rowdot(gv_p, y_i)
-    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)
-
-
-def _direct_gamma_node(model, store, tape, y_i, vx_i, gamma):
-    """Custom node applying the closed-form implicit derivative.
-
-    With p = gamma*y and the root equation V(p) - beta*V(x) = 0:
+    forward value stays the solved gamma. The backward route decides whether
+    the denominator is recorded: "fixed_point" records it; "direct" holds it
+    raw, which leaves the closed form of the implicit function theorem,
+    with p = gamma y:
       dgamma/dy      = -gamma * grad V(p) / (grad V(p)^T y)
       dgamma/dV(x)   =  beta / (grad V(p)^T y)
-      dgamma/dtheta_V = -(dV(p)/dtheta - beta dV(x)/dtheta) / (grad V(p)^T y),
-    where the V(x) part arrives through the recorded vx_i expression and the
-    explicit dV(p)/dtheta term is replayed on a side tape inside backward.
+      dgamma/dtheta_V = -(dV(p)/dtheta - beta dV(x)/dtheta) / (grad V(p)^T y).
     """
-    Y = ad.value_of(y_i)
-    P = gamma[:, None] * Y
-    gv_p = model.lyap.grad(P, store)
-    denom = (gv_p * Y).sum(axis=-1)
-
-    out = ad.Var(gamma, tape)
-
-    def backward(gbar):
-        w = gbar / denom            # (rows,)
-        ad._accum(y_i, (-gamma * w)[:, None] * gv_p)
-        ad._accum(vx_i, model.beta * w)
-        side = ad.Tape()
-        v_side = model.lyap.value(P, store, side)
-        root = ad.vsum(ad.mul(v_side, -w))
-        side.backward(root)
-
-    out._backward = backward
-    return tape._register(out)
+    p = ad.scale_rows(y_i, gamma)
+    if model.backward_route == "fixed_point":
+        v_p, gv_p = model.lyap.value_and_grad(p, store, tape)
+        gp = ad.rowdot(gv_p, y_i)
+    else:
+        v_p = model.lyap.value(p, store, tape)
+        gp = ad.rowdot(model.lyap.grad(ad.value_of(p), store), ad.value_of(y_i))
+    g = ad.sub(v_p, ad.mul(vx_i, model.beta))
+    return ad.override_value(ad.sub(gamma, ad.div(g, gp)), gamma)

@@ -43,7 +43,8 @@ def load_model(path):
     """Rebuild (model, store) from a saved file.
 
     Raises ValueError when the file is not a model's JSON object, or its
-    parameters do not match, by name and shape, the architecture it describes.
+    parameters are not finite or do not match, by name and shape, the
+    architecture it describes.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -72,6 +73,8 @@ def load_model(path):
             store.add(name, np.asarray(vals, dtype=np.float64))
         except (TypeError, ValueError):
             raise ValueError(f"parameter {name!r} is not a numeric array") from None
+        if not np.isfinite(store.values[name]).all():
+            raise ValueError(f"parameter {name!r} holds a value that is not finite")
     _check_params(model, store)
     return model, store
 

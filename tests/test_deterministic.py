@@ -3,9 +3,9 @@ import pytest
 
 from stabledyn import autodiff as ad
 from stabledyn.autodiff import ParamStore, Tape, grad_check
-from stabledyn.deterministic import (ORIGIN_GUARD, STACK_ROWS, RootFindError,
-                                     convex_gamma, make_model, model_step, rollout,
-                                     solve_gamma_batch, step_expr)
+from stabledyn.deterministic import (ORIGIN_GUARD, STACK_ROWS, RootFindError, StepInfo,
+                                     certified_gamma_expr, convex_gamma, make_model,
+                                     model_step, rollout, solve_gamma_batch, step_expr)
 from stabledyn.lyapunov import LyapunovNet, Ray
 from stabledyn.stochastic import make_stochastic_model, mdn_forward
 from stabledyn.training import train
@@ -489,6 +489,32 @@ def test_backward_routes_agree(variant):
         assert diff <= 1e-8, (name, diff)
 
 
+@pytest.mark.parametrize("variant", ["lnn", "icnn", "convex_lnn"])
+def test_direct_route_gives_the_closed_form_implicit_derivative(variant):
+    # at the root V(p) = beta V(x), p = gamma y, the implicit function
+    # theorem gives dgamma/dy = -gamma grad V(p) / (grad V(p)^T y); the
+    # direct route's surrogate differentiates to it up to rounding
+    rng = np.random.default_rng(41)
+    model, store = _fresh("implicit", variant, seed=31, expand=12.0,
+                          backward_route="direct")
+    model.rootfind_tol = 1e-12
+    X = rng.uniform(-5, 5, size=(16, 2))
+    Y = model.fhat.forward(X, store)
+    w = rng.normal(size=16)
+    tape = Tape()
+    y = tape.input(Y)
+    info = StepInfo(intervened=None)
+    gamma = certified_gamma_expr(model, store, tape, y, X, info)
+    tape.backward(ad.vsum(ad.mul(gamma, w)))
+    idx = np.flatnonzero(info.intervened)
+    assert 2 <= idx.size < X.shape[0]
+    g = info.gamma[idx]
+    gv = model.lyap.grad(g[:, None] * Y[idx], store)
+    want = np.zeros_like(Y)
+    want[idx] = (-g * w[idx] / (gv * Y[idx]).sum(-1))[:, None] * gv
+    assert np.max(np.abs(y.grad - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("route", ["fixed_point", "direct"])
 def test_implicit_gradients_match_finite_differences(route):
     rng = np.random.default_rng(5)
@@ -863,7 +889,7 @@ def test_a_state_of_the_wrong_shape_is_refused_by_name(shape):
             mdn_forward(mdn, mstore, np.ones(shape), tape)
 
 
-def test_rollout_shapes_and_v_trace():
+def test_rollout_shapes_and_v_trace(monkeypatch):
     model, store = _fresh("implicit", "convex_lnn", seed=2, expand=8.0)
     traj, vs = rollout(model, store, np.array([5.0, -5.0]), 30, record_v=True)
     assert traj.shape == (31, 2) and vs.shape == (31,)
@@ -873,6 +899,14 @@ def test_rollout_shapes_and_v_trace():
     traj = rollout(model, store, batch, 10)
     assert traj.shape == (4, 11, 2)
     assert np.array_equal(traj[:, 0], batch)
+    # the V trace is one V call over the whole trajectory, after the steps
+    rows, plain = [], LyapunovNet.value
+    monkeypatch.setattr(LyapunovNet, "value",
+                        lambda self, x, *a, **kw: rows.append(len(x)) or plain(self, x, *a, **kw))
+    traced, vs = rollout(model, store, batch, 10, record_v=True)
+    assert rows == [44] and vs.shape == (4, 11)
+    assert np.array_equal(traced, traj)
+    assert np.array_equal(vs, plain(model.lyap, traj.reshape(-1, 2), store).reshape(4, 11))
 
 
 def test_rollout_refuses_a_step_count_that_is_not_a_count():

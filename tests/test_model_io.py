@@ -168,6 +168,17 @@ def test_non_finite_tolerance_in_a_file_is_refused(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("name,bad", [("f.W0", float("nan")), ("V.W0", float("inf"))])
+def test_non_finite_parameter_in_a_file_is_refused(tmp_path, name, bad):
+    # a NaN in fhat steps to NaN rows with no intervention flagged, and an
+    # inf in V leaves the certificate off on every row, flagging nothing
+    p, doc = _saved_doc(tmp_path)
+    doc["params"][name][0][0] = bad
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"parameter '{name}' .* not finite"):
+        load_model(p)
+
+
 def test_extra_parameter_rejected(tmp_path):
     p, doc = _saved_doc(tmp_path)
     doc["params"]["V.W2"] = [[0.5, 0.5]]

@@ -578,10 +578,15 @@ def test_a_taped_implicit_batch_evaluates_v_of_y_once(variant, route, monkeypatc
     assert len(rays) == 1 and np.array_equal(rays[0], np.concatenate([X, y]))
     assert ray_calls[0] == 2 * X.shape[0]
     assert len(ray_calls) == 1 + int((info.newton_iters + info.bisect_iters).max())
-    # the direct route's node reads grad V at the solved states raw
-    assert [taped for _, taped in evals] == [True, route == "fixed_point"]
+    # the direct route records V at the solved states and reads grad V there raw
+    solved = info.gamma[idx, None] * y[idx]
+    if route == "fixed_point":
+        assert [taped for _, taped in evals] == [True, True]
+    else:
+        assert [taped for _, taped in evals] == [True, True, False]
+        assert np.array_equal(evals[2][0], solved)
     assert np.array_equal(evals[0][0], X[idx])
-    assert np.array_equal(evals[1][0], info.gamma[idx, None] * y[idx])
+    assert np.array_equal(evals[1][0], solved)
 
 
 @pytest.mark.parametrize("route", BACKWARD_ROUTES)
