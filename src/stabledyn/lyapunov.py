@@ -90,10 +90,10 @@ class LyapunovNet:
                 raise ValueError(f"icnn takes one or two hidden widths, got {self.hidden}")
             h1, h2 = self.hidden[0], self.hidden[-1]
             bn, b1, b2 = 1.0 / np.sqrt(n), 1.0 / np.sqrt(h1), 1.0 / np.sqrt(h2)
-            draws = {"W0": (-bn, bn, (h1, n)), "b0": (-bn, bn, h1),
+            draws = {"W0": (-bn, bn, (h1, n)), "b0": (-bn, bn, (h1,)),
                      "U1": (0.0, b1, (h2, h1)), "W1": (-bn, bn, (h2, n)),
-                     "b1": (-b1, b1, h2), "u2": (0.0, b2, (1, h2)),
-                     "w2": (-bn, bn, (1, n)), "b2": (-b2, b2, 1)}
+                     "b1": (-b1, b1, (h2,)), "u2": (0.0, b2, (1, h2)),
+                     "w2": (-bn, bn, (1, n)), "b2": (-b2, b2, (1,))}
             clamped = ["U1", "u2"]
         else:
             dims = (n, *self.hidden, n)
@@ -102,13 +102,13 @@ class LyapunovNet:
                 bound = 1.0 / np.sqrt(dims[i])
                 draws[f"W{i}"] = (-bound, bound, (dims[i + 1], dims[i]))
             clamped = list(draws)[1:] if self.variant == "convex_lnn" else []
-        self._draws = {f"{PREFIX}.{k}": v for k, v in draws.items()}
+        self.draws = {f"{PREFIX}.{k}": v for k, v in draws.items()}
         self._clamped = [f"{PREFIX}.{k}" for k in clamped]
 
     # -- parameters --------------------------------------------------------
 
     def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
-        for name, (low, high, shape) in self._draws.items():
+        for name, (low, high, shape) in self.draws.items():
             store.add(name, rng.uniform(low, high, size=shape))
         # nonnegativity holds from the start, not just after the first clamp
         for name in self._clamped:
@@ -168,7 +168,7 @@ class LyapunovNet:
             raise ValueError("g0 serves raw calls only; a recorded V builds its own")
         else:
             x = x if type(x) is ad.Var else xv
-            p = {name: tape.param(store, name) for name in self._draws}
+            p = {name: tape.param(store, name) for name in self.draws}
         W0 = p[f"{PREFIX}.W0"]
         if self.variant == "icnn":
             proj = (_linear(x, W0, p[f"{PREFIX}.b0"]), _linear(x, p[f"{PREFIX}.W1"]),

@@ -35,18 +35,21 @@ class Mlp:
         self.layer_dims = list(check_widths("layer_dims", self.layer_dims, "a layer width"))
         if len(self.layer_dims) < 2:
             raise ValueError("need at least input and output dims")
+        # (low, high, shape) of each parameter's uniform draw, in draw order
+        self.draws = {}
+        for i in range(self.n_layers):
+            fan_in, fan_out = self.layer_dims[i], self.layer_dims[i + 1]
+            bound = 1.0 / np.sqrt(fan_in)
+            self.draws[f"{self.prefix}.W{i}"] = (-bound, bound, (fan_out, fan_in))
+            self.draws[f"{self.prefix}.b{i}"] = (-bound, bound, (fan_out,))
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
     def init_params(self, store: ad.ParamStore, rng: np.random.Generator) -> None:
-        for i in range(self.n_layers):
-            fan_in = self.layer_dims[i]
-            fan_out = self.layer_dims[i + 1]
-            bound = 1.0 / np.sqrt(fan_in)
-            store.add(f"{self.prefix}.W{i}", rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            store.add(f"{self.prefix}.b{i}", rng.uniform(-bound, bound, size=fan_out))
+        for name, (low, high, shape) in self.draws.items():
+            store.add(name, rng.uniform(low, high, size=shape))
 
     def forward(self, x, store: ad.ParamStore, tape: ad.Tape | None = None):
         def P(name):

@@ -215,13 +215,20 @@ def metric_of(model) -> str:
 def _check_data(model, X, Y):
     """X and Y as float arrays. Refuses by name anything but a non-empty
     (batch, dim) X and a Y of the same shape, which would otherwise
-    broadcast against it into a wrong loss."""
+    broadcast against it into a wrong loss, and either holding a value that
+    is not finite, naming its dataset rows: a NaN would otherwise surface as
+    a diverged loss, a NaN score, or a row of a shuffled minibatch."""
     X, _ = as_batch(X, model.dim, "X", single=False)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != X.shape:
         raise ValueError(f"Y must have the shape of X, {X.shape}, got {Y.shape}")
     if not X.shape[0]:
         raise ValueError("X has no rows: the dataset must hold at least one transition")
+    for name, A in (("X", X), ("Y", Y)):
+        finite = np.isfinite(A).all(axis=1)
+        if not finite.all():
+            rows = np.flatnonzero(~finite).tolist()
+            raise ValueError(f"{name} must hold finite numbers; dataset rows {rows} do not")
     return X, Y
 
 

@@ -485,6 +485,22 @@ def test_eval_refuses_data_whose_rows_the_header_does_not_name(tmp_path, capsys)
     assert code == 2 and "line 2: 3 values" in err
 
 
+def test_train_refuses_data_holding_nan_as_a_usage_error(tmp_path, capsys):
+    # it used to train into "loss diverged at epoch 0", a numeric failure (1)
+    data, _ = _gen(tmp_path, capsys)
+    lines = data.read_text().splitlines()
+    row = lines[4].split(",")
+    row[2] = "nan"
+    lines[4] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    code = main(["train", "--model", "implicit", "--v", "icnn", "--data", str(data),
+                 "--out", str(out), "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Y must hold finite numbers; dataset rows [3] do not" in err
+    assert not out.exists()
+
+
 def test_eval_refuses_data_of_another_dimension(tmp_path, capsys):
     data, _ = _gen(tmp_path, capsys)
     _, _, model = _train(tmp_path, capsys, data)

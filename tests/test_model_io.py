@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -179,6 +181,46 @@ def test_non_finite_parameter_in_a_file_is_refused(tmp_path, name, bad):
         load_model(p)
 
 
+@pytest.mark.parametrize("name,bad", [("f.W0", float("nan")), ("V.b2", float("-inf"))])
+def test_a_non_finite_parameter_is_not_saved(tmp_path, name, bad):
+    # json would write a bare NaN or Infinity token, which strict parsers
+    # and load_model refuse; the refusal names the parameter and writes nothing
+    model = make_model("implicit", 2, "icnn", hidden_f=(5,), hidden_v=(4,))
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(8))
+    store.values[name].flat[0] = bad
+    p = tmp_path / "m.json"
+    with pytest.raises(ValueError, match=rf"parameter '{name}' .* not finite"):
+        save_model(p, model, store)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc["params"].update({"V.b2": [" 1e3 "]}), "'V.b2' is not a numeric array"),
+    (lambda doc: doc["params"].update({"V.b2": [False]}), "'V.b2' is not a numeric array"),
+    (lambda doc: doc["params"].update({"V.b2": [None]}), "'V.b2' is not a numeric array"),
+    (lambda doc: doc["params"].update(
+        {"V.W0": [[str(v) for v in row] for row in doc["params"]["V.W0"]]}),
+     "'V.W0' is not a numeric array"),
+    (lambda doc: doc["params"]["V.W0"][1].__setitem__(0, True),
+     "'V.W0' is not a numeric array"),
+    (lambda doc: doc["params"].update({"V.b2": [10 ** 400]}), "'V.b2' .* not finite"),
+    (lambda doc: doc["params"].update(
+        {"V.b2": functools.reduce(lambda v, _: [v], range(70), 1.0)}),
+     "'V.b2' is not a numeric array"),
+    (lambda doc: doc.update(format_version=True), "format version True"),
+    (lambda doc: doc.update(format_version=1.0), "format version 1.0"),
+], ids=["padded-text", "bool", "null", "text-array", "bool-among-numbers",
+        "huge-integer", "deep-nesting", "bool-version", "float-version"])
+def test_a_value_that_is_not_a_number_is_refused_by_name(tmp_path, edit, match):
+    # numpy would read " 1e3 " as 1000.0 and false as 0.0, and True == 1
+    p, doc = _saved_doc(tmp_path)
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_model(p)
+
+
 def test_extra_parameter_rejected(tmp_path):
     p, doc = _saved_doc(tmp_path)
     doc["params"]["V.W2"] = [[0.5, 0.5]]
@@ -248,3 +290,93 @@ def test_a_malformed_file_is_refused_by_name(tmp_path, edit, match):
     p.write_text(json.dumps(edit(doc)))
     with pytest.raises(ValueError, match=match):
         load_model(p)
+
+
+def _three_models():
+    det = make_model("implicit", 2, "icnn", hidden_f=(9, 7), hidden_v=(6, 5))
+    proj = make_model("projection", 3, "lnn", integrating=True, hidden_f=(8,), hidden_v=(6,))
+    mix = make_stochastic_model("convex", 2, "convex_lnn", k=4, hidden_f=(10, 10),
+                                hidden_v=(8, 8))
+    pairs = []
+    for seed, model in enumerate((det, proj, mix)):
+        store = ParamStore()
+        model.init_params(store, np.random.default_rng(seed))
+        pairs.append((model, store))
+    return pairs
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["deterministic", "integrating", "mdn"])
+def test_the_file_layout(tmp_path, index):
+    model, store = _three_models()[index]
+    p = tmp_path / "m.json"
+    save_model(p, model, store)
+    text = p.read_text()
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    doc = json.loads(text, parse_constant=refuse)
+    lines = text.splitlines()
+    # one setting per line, then "params" with one parameter per line
+    settings = {"format_version": 1, "kind": doc["kind"], **asdict(model)}
+    assert lines[0] == "{" and lines[-2:] == [" }", "}"]
+    assert lines[1:1 + len(settings)] == [f" {json.dumps(k)}: {json.dumps(v)},"
+                                          for k, v in settings.items()]
+    assert lines[1 + len(settings)] == ' "params": {'
+    param_lines = lines[2 + len(settings):-2]
+    assert len(param_lines) == len(store.values)
+    for line, (name, v) in zip(param_lines, store.values.items()):
+        assert json.loads("{" + line.rstrip(",") + "}") == {name: v.tolist()}
+
+    # save -> load -> save writes the same text
+    m2, s2 = load_model(p)
+    p2 = tmp_path / "again.json"
+    save_model(p2, m2, s2)
+    assert p2.read_text() == text
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["deterministic", "integrating", "mdn"])
+def test_a_file_in_the_indented_layout_still_loads_bit_for_bit(tmp_path, index):
+    # earlier files were json.dumps(doc, indent=1): one number per line
+    model, store = _three_models()[index]
+    doc = {"format_version": 1, "kind": "mdn" if index == 2 else "deterministic",
+           **asdict(model), "params": {k: v.tolist() for k, v in store.values.items()}}
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(doc, indent=1) + "\n")
+    m2, s2 = load_model(p)
+    assert asdict(m2) == asdict(model)
+    assert list(s2.values) == list(store.values)
+    for k, v in store.values.items():
+        assert s2.values[k].tobytes() == v.tobytes(), k
+
+
+# sha256 (first 16 hex digits) of every parameter's name, shape and bytes
+# in draw order, at seed 0; taken before init_params read the draw tables
+INIT_DIGESTS = {
+    ("deterministic", "lnn", 2): "f96753a1c03d2528",
+    ("deterministic", "lnn", 3): "70c81684ec5834e2",
+    ("deterministic", "icnn", 2): "0c31eafd6211db4d",
+    ("deterministic", "icnn", 3): "e41f10f4dfb50c43",
+    ("deterministic", "convex_lnn", 2): "45ef2d9ff578860b",
+    ("deterministic", "convex_lnn", 3): "85aaf35fb7886a80",
+    ("mdn", "lnn", 2): "e42d02acfaa3405a",
+    ("mdn", "lnn", 3): "c7435df6ead73a71",
+    ("mdn", "icnn", 2): "0911c513bccf891f",
+    ("mdn", "icnn", 3): "f69de61cf77cd906",
+    ("mdn", "convex_lnn", 2): "d4e3b4377d277c57",
+    ("mdn", "convex_lnn", 3): "7f669853fea719b6",
+}
+
+
+@pytest.mark.parametrize("kind, variant, dim", list(INIT_DIGESTS))
+def test_init_params_draws_the_pinned_bytes(kind, variant, dim):
+    # dim 2 takes the default widths, dim 3 one hidden layer in each net
+    widths = {} if dim == 2 else dict(hidden_f=(7,), hidden_v=(6,))
+    cls = make_model if kind == "deterministic" else make_stochastic_model
+    store = ParamStore()
+    cls("implicit", dim, variant, **widths).init_params(store, np.random.default_rng(0))
+    h = hashlib.sha256()
+    for name, v in store.values.items():
+        h.update(name.encode())
+        h.update(str(v.shape).encode())
+        h.update(v.tobytes())
+    assert h.hexdigest()[:16] == INIT_DIGESTS[kind, variant, dim]

@@ -332,6 +332,26 @@ def test_targets_of_another_shape_are_refused_by_name(y_shape):
             call()
 
 
+@pytest.mark.parametrize("array, row, bad", [("X", 7, np.nan), ("Y", 3, np.nan),
+                                             ("X", 0, -np.inf), ("Y", 11, np.inf)])
+def test_non_finite_data_is_refused_by_its_dataset_rows(array, row, bad):
+    # a NaN target used to read as "loss diverged at epoch 0" in train and as
+    # a NaN score, and a NaN state in implicit mode was named by its row in
+    # the shuffled minibatch
+    X, Y = _linear_data(12)
+    {"X": X, "Y": Y}[array][row, 1] = bad
+    (det, det_store), (mix, mix_store) = _small_pair()
+    before = {k: v.copy() for k, v in det_store.values.items()}
+    for call in (lambda: evaluate_mse(det, det_store, X, Y),
+                 lambda: evaluate_nll(mix, mix_store, X, Y),
+                 lambda: train(det, det_store, X, Y, TrainConfig(epochs=1, batch_size=4)),
+                 lambda: train(mix, mix_store, X, Y, TrainConfig(epochs=1, batch_size=4))):
+        with pytest.raises(ValueError, match=rf"^{array} must hold finite numbers; "
+                                             rf"dataset rows \[{row}\] do not"):
+            call()
+    assert all(np.array_equal(det_store.values[k], v) for k, v in before.items())
+
+
 def test_evaluate_violations_takes_the_same_inputs_for_both_model_kinds():
     x = np.array([1.5, -2.0])
     for model, store in _small_pair():
