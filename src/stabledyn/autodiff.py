@@ -5,7 +5,7 @@ numpy arrays or tape-recorded variables. The raw path is the fast inference
 path; the recorded path builds a per-evaluation tape that supports exactly one
 reverse sweep, accumulating parameter gradients into a ParamStore.
 
-The sweep releases the graph: every recorded Var drops its pullback and its
+The sweep releases the graph: every recorded Var drops its edges and its
 tape, so the batch's arrays are freed by reference counting as soon as the
 caller drops the tape, with no work left for the cyclic collector. A swept
 Var keeps its value and .grad but cannot enter a new primitive. Gradients are
@@ -58,13 +58,13 @@ class ParamStore:
 class Var:
     """A tape-recorded value. Created only through Tape or the primitives."""
 
-    __slots__ = ("value", "grad", "tape", "_backward")
+    __slots__ = ("value", "grad", "tape", "_edges")
 
     def __init__(self, value, tape: "Tape"):
         self.value = _arr(value)
         self.grad = None
         self.tape = tape
-        self._backward = None
+        self._edges = ()
 
 
 class Tape:
@@ -105,20 +105,15 @@ class Tape:
         self._swept = True
         root.grad = np.ones_like(root.value)
         for node in reversed(self._nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            if node.grad is not None:
+                for parent, pull in node._edges:
+                    g = _unbroadcast(pull(node.grad), parent.value.shape)
+                    parent.grad = g if parent.grad is None else parent.grad + g
             # Var.tape -> Tape._nodes -> Var is the graph's only cycle
-            node._backward = node.tape = None
+            node._edges = node.tape = None
         for (sid, name), leaf in self._param_leaves.items():
             if leaf.grad is not None:
                 self._stores[sid].grads[name] += leaf.grad
-
-
-def _accum(v: Var, g: np.ndarray) -> None:
-    if v.grad is None:
-        v.grad = g
-    else:
-        v.grad = v.grad + g
 
 
 def _tape_of(*args) -> Tape | None:
@@ -157,13 +152,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _node(tape: Tape, value, parents_and_pulls) -> Var:
     """Record value; operands that are not Vars get no gradient and are dropped."""
     out = Var(value, tape)
-    parents_and_pulls = [pp for pp in parents_and_pulls if isinstance(pp[0], Var)]
-
-    def backward(g):
-        for parent, pull in parents_and_pulls:
-            _accum(parent, _unbroadcast(pull(g), parent.value.shape))
-
-    out._backward = backward
+    out._edges = [pp for pp in parents_and_pulls if isinstance(pp[0], Var)]
     return tape._register(out)
 
 
@@ -186,14 +175,6 @@ def sub(a, b):
     if tape is None:
         return val
     return _node(tape, val, [(a, lambda g: g), (b, lambda g: -g)])
-
-
-def neg(a):
-    tape = _tape_of(a)
-    val = -value_of(a)
-    if tape is None:
-        return val
-    return _node(tape, val, [(a, lambda g: -g)])
 
 
 def mul(a, b):
@@ -293,20 +274,12 @@ def sum_axis(a, axis: int):
 
 def expand_last(a):
     """(...,) -> (..., 1)."""
-    tape = _tape_of(a)
-    val = value_of(a)[..., None]
-    if tape is None:
-        return val
-    return _node(tape, val, [(a, lambda g: g[..., 0])])
+    return reshape(a, value_of(a).shape + (1,))
 
 
 def squeeze_last(a):
     """(..., 1) -> (...,)."""
-    tape = _tape_of(a)
-    val = value_of(a)[..., 0]
-    if tape is None:
-        return val
-    return _node(tape, val, [(a, lambda g: np.expand_dims(g, -1))])
+    return reshape(a, value_of(a).shape[:-1])
 
 
 def col_slice(a, start, stop):

@@ -33,7 +33,7 @@ from .training import (TrainConfig, evaluate_mse, evaluate_nll, evaluate_violati
 from .validate import check_count
 
 # train's flags that are not settings of the model or of TrainConfig
-TRAIN_IO = ("command", "config", "model", "v", "data", "out")
+TRAIN_IO = ("command", "handler", "config", "model", "v", "data", "out")
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -78,13 +78,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
+        p.set_defaults(handler=handler)
         commands[name] = p
         return p
 
-    p = add("gen", "simulate a reference system into a transition CSV")
+    p = add("gen", "simulate a reference system into a transition CSV", _cmd_gen)
     p.add_argument("--system", required=True, choices=SYSTEMS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -98,7 +99,7 @@ def build_parser():
     p.add_argument("--b", type=float, default=None,
                    help="noise gain of a linear map (default: the system's own)")
 
-    p = add("train", "fit a model to transition data")
+    p = add("train", "fit a model to transition data", _cmd_train)
     p.add_argument("--model", required=True,
                    choices=(*MODES, *(f"mdn-{m}" for m in STAB_MODES)),
                    help="stability mode; mdn- prefix switches to the mixture model")
@@ -121,7 +122,7 @@ def build_parser():
     p.add_argument("--hidden-v", type=_parse_hidden)
     p.add_argument("--verbose", action="store_true")
 
-    p = add("rollout", "iterate a saved model and write the trajectory CSV")
+    p = add("rollout", "iterate a saved model and write the trajectory CSV", _cmd_rollout)
     p.add_argument("--model-file", required=True)
     p.add_argument("--x0", required=True, type=_parse_vector,
                    help="comma-separated start state")
@@ -131,19 +132,20 @@ def build_parser():
                    help="sampled paths beside the mean path (mdn)")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("eval", "score a saved model on transition data")
+    p = add("eval", "score a saved model on transition data", _cmd_eval)
     p.add_argument("--model-file", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--metric", choices=["auto", "mse", "nll", "v-violations"],
                    default="auto",
                    help="auto picks mse or nll to match the model kind")
 
-    p = add("lyap-solve", "exact quadratic certificate for x' = Ax + Bxw")
+    p = add("lyap-solve", "exact quadratic certificate for x' = Ax + Bxw", _cmd_lyap_solve)
     p.add_argument("--a", required=True, type=_parse_matrix, help="rows split by ';'")
     p.add_argument("--b", type=_parse_gain, default="0", help="scalar or matrix noise gain")
     p.add_argument("--q", type=_parse_matrix, help="right-hand side, default identity")
 
-    p = add("gradcheck", "tape gradients of a saved model against finite differences")
+    p = add("gradcheck", "tape gradients of a saved model against finite differences",
+          _cmd_gradcheck)
     p.add_argument("--model-file", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch", type=int, default=8,
@@ -262,35 +264,23 @@ def _cmd_rollout(args) -> int:
     x0 = args.x0
     if x0.size != model.dim:
         raise ValueError(f"x0 has {x0.size} entries, model expects {model.dim}")
-    cols = [f"x{i+1}" for i in range(model.dim)]
     if isinstance(model, StochasticModel):
-        rng = np.random.default_rng(args.seed)
-        traj, means = stochastic_rollout(model, store, x0, args.steps,
-                                         args.samples, rng)
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path", "t"] + cols + ["V"])
-
-            def write_path(label, path):
-                vs = model.lyap.value(path, store)
-                for t in range(path.shape[0]):
-                    w.writerow([label, t] + [f"{v:.17g}" for v in path[t]]
-                               + [f"{vs[t]:.17g}"])
-
-            write_path("mean", means)
-            for p in range(traj.shape[0]):
-                write_path(p, traj[p])
-        final = float(np.linalg.norm(means[-1]))
+        traj, means = stochastic_rollout(model, store, x0, args.steps, args.samples,
+                                         np.random.default_rng(args.seed))
+        # each row leads with its path: "mean", then the sampled paths' numbers
+        head, paths = ["path"], [(["mean"], means), *(([p], path) for p, path in enumerate(traj))]
         extra = {"samples": args.samples}
     else:
-        traj, vs = rollout(model, store, x0, args.steps, record_v=True)
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + cols + ["V"])
-            for t in range(traj.shape[0]):
-                w.writerow([t] + [f"{v:.17g}" for v in traj[t]] + [f"{vs[t]:.17g}"])
-        final = float(np.linalg.norm(traj[-1]))
+        head, paths = [], [([], rollout(model, store, x0, args.steps))]
         extra = {}
+    with open(args.out, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(head + ["t"] + [f"x{i+1}" for i in range(model.dim)] + ["V"])
+        for label, path in paths:
+            vs = model.lyap.value(path, store)
+            for t in range(path.shape[0]):
+                w.writerow(label + [t] + [f"{v:.17g}" for v in path[t]] + [f"{vs[t]:.17g}"])
+    final = float(np.linalg.norm(paths[0][1][-1]))
     _emit({"out": args.out, "steps": args.steps, "final_norm": final, **extra})
     return 0
 
@@ -349,21 +339,11 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "rollout": _cmd_rollout,
-    "eval": _cmd_eval,
-    "lyap-solve": _cmd_lyap_solve,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         args = _apply_config(parser, commands, sys.argv[1:] if argv is None else argv)
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except SystemExit as e:
         return int(e.code or 0)
     except (RootFindError, FloatingPointError, np.linalg.LinAlgError) as e:

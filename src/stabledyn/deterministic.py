@@ -139,11 +139,11 @@ class Certified:
     backward_route: str = "fixed_point"
 
     def __post_init__(self):
-        check_count("dim", self.dim)
+        self.dim = check_count("dim", self.dim)
         for name in ("hidden_f", "hidden_v"):
             setattr(self, name, check_widths(name, getattr(self, name), f"a {name} width"))
-        check_between("beta", self.beta, 0.0, 1.0)
-        check_between("rootfind_tol", self.rootfind_tol, 0.0, np.inf)
+        self.beta = check_between("beta", self.beta, 0.0, 1.0)
+        self.rootfind_tol = check_between("rootfind_tol", self.rootfind_tol, 0.0, np.inf)
         if self.mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
         if self.backward_route not in BACKWARD_ROUTES:

@@ -44,8 +44,8 @@ class StochasticModel(Certified):
 
     def __post_init__(self):
         super().__post_init__()
-        check_count("k", self.k)
-        check_between("sigma_cap", self.sigma_cap, 0.0, np.inf)
+        self.k = check_count("k", self.k)
+        self.sigma_cap = check_between("sigma_cap", self.sigma_cap, 0.0, np.inf)
         self.trunk = self._mlp("trunk", 2 * self.dim * self.k)
         self.coeff = self._mlp("coeff", self.k)
         self.nets = (self.trunk, self.coeff, self.lyap)
@@ -120,10 +120,12 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
 
 
 def mdn_nll(out: MdnOutput, y) -> object:
-    """Mean negative log likelihood of targets y (B, n) under the mixture."""
+    """Mean negative log likelihood of targets y under the mixture; y has the
+    mixture means' shape (B, n), one target per row of the batch."""
     Y = np.asarray(y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise ValueError("targets must be (batch, dim)")
+    want = ad.value_of(out.mu_mix).shape
+    if Y.shape != want:
+        raise ValueError(f"y must have the batch's mixture-mean shape {want}, got {Y.shape}")
     diff = ad.sub(out.mu, Y[:, None, :])
     z = ad.div(diff, out.sigma)
     z2 = ad.rowdot(z, z)                                               # (B, k)
@@ -131,7 +133,7 @@ def mdn_nll(out: MdnOutput, y) -> object:
     n = Y.shape[1]
     comp_ll = ad.sub(ad.log(out.pi),
                      ad.mul(ad.add(ad.add(z2, log_det), n * LOG_2PI), 0.5))
-    return ad.neg(ad.mean(ad.logsumexp(comp_ll)))
+    return ad.mul(ad.mean(ad.logsumexp(comp_ll)), -1.0)
 
 
 def _draw(out: MdnOutput, rows: int, rng: np.random.Generator) -> np.ndarray:

@@ -53,11 +53,11 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        check_count("epochs", self.epochs)
+        self.epochs = check_count("epochs", self.epochs)
         if self.batch_size is not None:
-            check_count("batch_size", self.batch_size)
-        check_between("lr", self.lr, 0.0, np.inf)
-        check_count("seed", self.seed, least=0)
+            self.batch_size = check_count("batch_size", self.batch_size)
+        self.lr = check_between("lr", self.lr, 0.0, np.inf)
+        self.seed = check_count("seed", self.seed, least=0)
 
 
 @dataclass

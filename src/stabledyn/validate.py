@@ -13,12 +13,14 @@ import numbers
 import numpy as np
 
 
-def check_count(name: str, value, least: int = 1) -> None:
-    """Refuse by name a count that is not an integer (bools are not) or is below least."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """Refuse by name a count that is not an integer (bools are not) or is below
+    least; return it as a Python int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def check_widths(name: str, widths, each: str) -> tuple:
@@ -27,15 +29,15 @@ def check_widths(name: str, widths, each: str) -> tuple:
     a tuple of ints."""
     if not isinstance(widths, (list, tuple, np.ndarray)) or np.ndim(widths) != 1:
         raise ValueError(f"{name} must be a list of layer widths, got {widths!r}")
-    for w in widths:
-        check_count(each, w)
-    return tuple(int(w) for w in widths)
+    return tuple(check_count(each, w) for w in widths)
 
 
-def check_between(name: str, value, lo: float, hi: float) -> None:
-    """Refuse by name a setting that is not a real number in (lo, hi)."""
+def check_between(name: str, value, lo: float, hi: float) -> float:
+    """Refuse by name a setting that is not a real number in (lo, hi); return it
+    as a Python float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
         raise ValueError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    return float(value)
 
 
 def check_states(name: str, shape: tuple, dim: int, single: bool = True) -> None:

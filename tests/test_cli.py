@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stabledyn.cli import build_parser, main
-from stabledyn.deterministic import StableModel
+from stabledyn.deterministic import StableModel, rollout
+from stabledyn.model_io import load_model
 from stabledyn.stochastic import StochasticModel
 from stabledyn.systems import generate_transitions, load_transitions
 from stabledyn.training import TrainConfig
@@ -227,6 +228,10 @@ def test_rollout_deterministic_csv(tmp_path, capsys):
     assert len(rows) == 8
     vs = np.array([float(r[3]) for r in rows[1:]])
     assert np.all(vs[1:] <= 0.99 * vs[:-1] + 1e-3 + 1e-12)
+    # %.17g reads back bit for bit: the file holds rollout's own trajectory and V
+    want, want_v = rollout(*load_model(model), np.array([4.0, -3.0]), 6, record_v=True)
+    assert np.array([[float(v) for v in r[1:3]] for r in rows[1:]]).tobytes() == want.tobytes()
+    assert vs.tobytes() == want_v.tobytes()
 
     code, _ = _run(["rollout", "--model-file", str(model), "--x0", "4,-3",
                     "--steps", "0", "--out", str(traj)], capsys)
@@ -256,7 +261,13 @@ def test_rollout_mdn_mean_and_samples(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["path", "t", "x1", "x2", "V"]
     assert len(rows) == 1 + 5 * 4
-    assert {r[0] for r in rows[1:]} == {"mean", "0", "1", "2"}
+    assert [r[0] for r in rows[1::5]] == ["mean", "0", "1", "2"]
+    # each path's V column is V of that path's states, bit for bit
+    m, store = load_model(model)
+    for start in range(1, len(rows), 5):
+        path = np.array([[float(v) for v in r[1:]] for r in rows[start:start + 5]])
+        assert path[:, 0].tolist() == list(range(5))
+        assert m.lyap.value(path[:, 1:3], store).tobytes() == path[:, 3].tobytes()
     first = traj.read_bytes()
     code, _ = _run(argv, capsys)
     assert traj.read_bytes() == first

@@ -89,6 +89,27 @@ def test_every_setting_survives_the_trip(tmp_path, model):
     assert asdict(m2) == asdict(model)
 
 
+@pytest.mark.parametrize("make, setting, value", [
+    (make_model, "dim", np.int64(2)),
+    (make_model, "beta", np.float32(0.9)),
+    (make_model, "rootfind_tol", np.float32(1e-4)),
+    (make_stochastic_model, "k", np.int32(2)),
+    (make_stochastic_model, "sigma_cap", np.float32(0.5)),
+], ids=["dim", "beta", "rootfind_tol", "k", "sigma_cap"])
+def test_numpy_scalar_settings_save_as_plain_values(tmp_path, make, setting, value):
+    # json writes no numpy scalar, so a model keeps each setting as the plain
+    # int or float of the same value
+    model = make(**{"mode": "convex", "dim": 2, "variant": "icnn", setting: value})
+    kept = getattr(model, setting)
+    assert type(kept) is type(value.item()) and kept == value
+    store = ParamStore()
+    model.init_params(store, np.random.default_rng(4))
+    p = tmp_path / "m.json"
+    save_model(p, model, store)
+    m2, _ = load_model(p)
+    assert asdict(m2) == asdict(model)
+
+
 def test_trained_weights_survive_the_trip(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.uniform(-4, 4, size=(60, 2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -311,3 +313,13 @@ def test_forward_rejects_flat_input():
     model, store = _fresh("convex", "icnn", seed=1)
     with pytest.raises(ValueError):
         mdn_forward(model, store, np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 2), (4, 3), (4,)])
+@pytest.mark.parametrize("recorded", [False, True], ids=["raw", "tape"])
+def test_nll_refuses_targets_of_another_shape_by_name(shape, recorded):
+    # a (1, 2) target would broadcast against all 4 rows and score them all
+    model, store = _fresh("convex", "icnn", seed=1)
+    out = mdn_forward(model, store, np.ones((4, 2)), Tape() if recorded else None)
+    with pytest.raises(ValueError, match=re.escape(f"shape (4, 2), got {shape}")):
+        mdn_nll(out, np.zeros(shape))

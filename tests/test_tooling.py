@@ -14,7 +14,7 @@ def _private(name):
 
 def _autodiff_private_names():
     """Every private name autodiff.py defines or uses as an attribute:
-    module helpers (_accum, _node, ...) and Var/Tape internals (_backward,
+    module helpers (_node, _unbroadcast, ...) and Var/Tape internals (_edges,
     _register, _nodes, ...)."""
     names = set()
     for node in ast.walk(ast.parse((PACKAGE / "autodiff.py").read_text())):
@@ -39,11 +39,11 @@ def _uses(path, private):
 
 
 def test_no_module_reaches_into_autodiff_internals():
-    # a node built by hand (its own _backward, tape._register, ad._accum)
+    # a node built by hand (its own _edges, tape._register, ad._node)
     # bypasses the primitives' checks and the sweep's bookkeeping; every
     # recorded operation goes through a public primitive instead
     private = _autodiff_private_names()
-    assert {"_accum", "_register", "_backward"} <= private
+    assert {"_node", "_register", "_edges"} <= private
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "autodiff.py")
     assert len(modules) >= 8
     bad = [f"{p.name}:{line}: {text}"
