@@ -68,12 +68,16 @@ class Var:
 
 
 class Tape:
-    """Ordered record of one forward evaluation, good for one reverse sweep."""
+    """Ordered record of one forward evaluation, good for one reverse sweep.
+
+    Its parameter leaves are those of one ParamStore, the store the sweep
+    adds their gradients into.
+    """
 
     def __init__(self):
         self._nodes: list[Var] = []
-        self._param_leaves: dict[tuple[int, str], Var] = {}
-        self._stores: dict[int, ParamStore] = {}
+        self._param_leaves: dict[str, Var] = {}
+        self._store: ParamStore | None = None
         self._swept = False
 
     def _register(self, v: Var) -> Var:
@@ -85,13 +89,16 @@ class Tape:
         return self._register(Var(x, self))
 
     def param(self, store: ParamStore, name: str) -> Var:
-        """Leaf view of a parameter; repeated requests share one leaf."""
-        key = (id(store), name)
-        leaf = self._param_leaves.get(key)
+        """Leaf view of a parameter; repeated requests share one leaf. A store
+        other than the one the tape's first leaf came from raises ValueError."""
+        if store is not self._store:
+            if self._store is not None:
+                raise ValueError("a tape records the parameters of one ParamStore, "
+                                 "and this is another")
+            self._store = store
+        leaf = self._param_leaves.get(name)
         if leaf is None:
-            leaf = self._register(Var(store.values[name], self))
-            self._param_leaves[key] = leaf
-            self._stores[id(store)] = store
+            leaf = self._param_leaves[name] = self._register(Var(store.values[name], self))
         return leaf
 
     def backward(self, root: Var) -> None:
@@ -111,9 +118,9 @@ class Tape:
                     parent.grad = g if parent.grad is None else parent.grad + g
             # Var.tape -> Tape._nodes -> Var is the graph's only cycle
             node._edges = node.tape = None
-        for (sid, name), leaf in self._param_leaves.items():
+        for name, leaf in self._param_leaves.items():
             if leaf.grad is not None:
-                self._stores[sid].grads[name] += leaf.grad
+                self._store.grads[name] += leaf.grad
 
 
 def _tape_of(*args) -> Tape | None:

@@ -261,17 +261,14 @@ def _cmd_train(args) -> int:
 def _cmd_rollout(args) -> int:
     check_count("seed", args.seed, least=0)
     model, store = load_model(args.model_file)
-    x0 = args.x0
-    if x0.size != model.dim:
-        raise ValueError(f"x0 has {x0.size} entries, model expects {model.dim}")
     if isinstance(model, StochasticModel):
-        traj, means = stochastic_rollout(model, store, x0, args.steps, args.samples,
+        traj, means = stochastic_rollout(model, store, args.x0, args.steps, args.samples,
                                          np.random.default_rng(args.seed))
         # each row leads with its path: "mean", then the sampled paths' numbers
         head, paths = ["path"], [(["mean"], means), *(([p], path) for p, path in enumerate(traj))]
         extra = {"samples": args.samples}
     else:
-        head, paths = [], [([], rollout(model, store, x0, args.steps))]
+        head, paths = [], [([], rollout(model, store, args.x0, args.steps))]
         extra = {}
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -317,8 +314,7 @@ def _cmd_lyap_solve(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.batch < 1:
-        raise ValueError(f"--batch must be at least 1, got {args.batch}")
+    check_count("--batch", args.batch)
     check_count("seed", args.seed, least=0)
     model, store, X, Y = _load_scored(args)
     rng = np.random.default_rng(args.seed)

@@ -31,6 +31,14 @@ gamma solve walks the intervening rows' rays from there, and the tape
 records V(x) only on those rows. The StepInfo carries the raw V values the
 step computed, so checking its certificate needs V again only where the
 step never evaluated it.
+
+The entries take their states by validate.check_states: model_step and
+rollout one state or a (batch, dim) array, step_expr a (batch, dim) array.
+They refuse a state that is not finite, naming its rows: at NaN a
+certified step returns NaN, and at inf V(x) = inf switches the certificate
+off, each with nothing flagged. Mode "none" certifies nothing and its steps
+pass such a state through; rollout refuses a non-finite start in every
+mode.
 """
 
 from __future__ import annotations
@@ -284,28 +292,6 @@ def solve_gamma_batch(ray: Ray, v: np.ndarray, slope: np.ndarray, target: np.nda
 # ---------------------------------------------------------------------------
 # the certified step, raw (tape None) or recorded
 
-def as_batch(x, dim: int, name: str = "x", single: bool = True):
-    """(batch, dim) view of x, and whether x was a single state.
-
-    Anything but a batch of states of dimension dim, or with single one
-    state, raises ValueError naming the argument and the shapes it takes.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    check_states(name, x.shape, dim, single)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
-def refuse_non_finite(X):
-    """Raise ValueError naming the rows of the (batch, dim) states X that are
-    not finite: at NaN a certified step returns NaN, and at inf V(x) = inf
-    switches the certificate off, each with nothing flagged."""
-    if not np.isfinite(X).all():
-        rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        raise ValueError(f"a certified step needs finite states; rows {rows.tolist()} are not")
-
-
 def _decide(model, v_x, v_y, ray: Ray | None = None, slope=None) -> StepInfo:
     """The certificate's decision on raw values, as the step's StepInfo.
 
@@ -419,14 +405,11 @@ def _certify(model: StableModel, store: ad.ParamStore, tape, X, y):
     Built from the autodiff primitives: on raw arrays when tape is None
     (certified_gamma_raw), on the tape otherwise (certified_gamma_expr). Rows
     left alone pass y through bit-exactly. The StepInfo carries the raw V
-    values the step computed (see StepInfo). A state that is not finite raises
-    ValueError, since V certifies nothing there; mode "none" certifies
-    nothing anyway and passes it through.
+    values the step computed (see StepInfo).
     """
     if model.mode == "none":
         out = ad.add(X, y) if model.integrating else y
         return out, StepInfo(intervened=np.zeros(X.shape[0], dtype=bool))
-    refuse_non_finite(X)
     if model.mode == "projection":
         return _projection(model, store, tape, X, y)
 
@@ -456,9 +439,10 @@ def _projection(model: StableModel, store: ad.ParamStore, tape, X, y):
 def model_step(model: StableModel, store: ad.ParamStore, x, want_info: bool = False):
     """One certified step for a batch of states (or a single state).
 
-    x is one state or a (batch, dim) array; any other shape raises ValueError.
+    x is one state or a (batch, dim) array (validate.check_states); a state
+    that is not finite is refused unless the mode is "none".
     """
-    X, single = as_batch(x, model.dim)
+    X, single = check_states("x", x, model.dim, finite=model.mode != "none")
     out, info = _certify(model, store, None, X, model.fhat.forward(X, store))
     if single:
         out = out[0]
@@ -475,7 +459,7 @@ def step_expr(model: StableModel, store: ad.ParamStore, tape: ad.Tape | None, X,
     want_parts the free prediction fhat(X) and the step's StepInfo come back
     as well, as (step, free, info).
     """
-    X, _ = as_batch(X, model.dim, "X", single=False)
+    X, _ = check_states("X", X, model.dim, single=False, finite=model.mode != "none")
     y = model.fhat.forward(X, store, tape)
     out, info = _certify(model, store, tape, X, y)
     return (out, y, info) if want_parts else out
@@ -488,12 +472,10 @@ def rollout(model: StableModel, store: ad.ParamStore, x0, steps: int,
     Returns trajectory of shape (steps+1, n) or (B, steps+1, n); with
     record_v also the V values along it, shape (steps+1,) or (B, steps+1),
     from one V call over the whole trajectory after the loop.
-    A start that is not finite raises ValueError.
+    A start that is not finite is refused in every mode.
     """
     check_count("steps", steps, least=0)
-    X, single = as_batch(x0, model.dim, "x0")
-    if not np.isfinite(X).all():
-        raise ValueError("x0 must be finite")
+    X, single = check_states("x0", x0, model.dim, finite=True)
     B, n = X.shape
     traj = np.empty((B, steps + 1, n))
     traj[:, 0] = X

@@ -47,9 +47,9 @@ times each projection, with the projection as its tangent (forward mode, no
 reverse sweep): the pair the gamma solve iterates on. It serves raw arrays
 only.
 
-An input of the wrong width is refused by name, raw and recorded alike: x
-is one state of dimension dim or a (batch, dim) array, and a ray's Y a
-(batch, dim) array.
+An input of the wrong width is refused by name, raw and recorded alike
+(validate.check_states): x is one state of dimension dim or a (batch, dim)
+array, and a ray's Y a (batch, dim) array, converted to float64 as x is.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class LyapunovNet:
 
         g0, if given, is the icnn's g(0) (origin).
         """
-        check_states("Y", np.shape(Y), self.dim, single=False)
+        Y, _ = check_states("Y", Y, self.dim, single=False)
         p = store.values
         W0Y = Y @ p[f"{PREFIX}.W0"].T
         if self.variant == "icnn":
@@ -161,7 +161,7 @@ class LyapunovNet:
         """(V, grad V or None) from the kernel: on raw arrays without a tape,
         recorded on the tape's parameter leaves with one."""
         xv = ad.value_of(x)
-        check_states("x", xv.shape, self.dim)
+        check_states("x", xv, self.dim)
         if tape is None:
             x, p = xv, store.values
         elif g0 is not None:

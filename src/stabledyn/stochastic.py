@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import (Certified, StepInfo, as_batch, certified_gamma_expr,
-                            certified_gamma_raw, refuse_non_finite)
-from .validate import check_between, check_count
+from .deterministic import Certified, StepInfo, certified_gamma_expr, certified_gamma_raw
+from .validate import check_between, check_count, check_states
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -72,18 +71,17 @@ def mdn_forward(model: StochasticModel, store: ad.ParamStore, x,
 
     In the stabilized model the scaled mixture mean is pushed below the
     decrease target beta*V(x) and every spread is tied to V at that scaled
-    mean, so the covariance shrinks together with the mean dynamics. There a
-    state that is not finite raises ValueError; mode "none" passes it through.
-    info is the StepInfo of the certified step x -> scaled mean; mode "none"
-    moves no row. On the raw path (tape None, certified_gamma_raw) the
-    spreads are tethered to the step's own V at the scaled mean
-    (StepInfo.v_certified), which evaluates V only on convex mode's moved
-    rows; the recorded path records V at the scaled mean, which the spreads'
-    gradients need. Either way info.v_cert is the tether's V.
+    mean, so the covariance shrinks together with the mean dynamics. x is a
+    (batch, dim) array, named X when refused (validate.check_states); a
+    state that is not finite is refused unless the mode is "none". info is
+    the StepInfo of the certified step x -> scaled mean; mode "none" moves no
+    row. On the raw path (tape None, certified_gamma_raw) the spreads are
+    tethered to the step's own V at the scaled mean (StepInfo.v_certified),
+    which evaluates V only on convex mode's moved rows; the recorded path
+    records V at the scaled mean, which the spreads' gradients need. Either
+    way info.v_cert is the tether's V.
     """
-    X, _ = as_batch(x, model.dim, "X", single=False)
-    if model.mode != "none":
-        refuse_non_finite(X)
+    X, _ = check_states("X", x, model.dim, single=False, finite=model.mode != "none")
     B, n = X.shape
     k = model.k
 
@@ -148,8 +146,9 @@ def _draw(out: MdnOutput, rows: int, rng: np.random.Generator) -> np.ndarray:
 
 def mdn_sample(model: StochasticModel, store: ad.ParamStore, x,
                rng: np.random.Generator) -> np.ndarray:
-    """Draw one next state per row."""
-    X, single = as_batch(x, model.dim)
+    """Draw one next state per row of x, one state or a (batch, dim) array; a
+    state that is not finite is refused unless the mode is "none"."""
+    X, single = check_states("x", x, model.dim, finite=model.mode != "none")
     sample = _draw(mdn_forward(model, store, X), X.shape[0], rng)
     return sample[0] if single else sample
 
@@ -164,22 +163,20 @@ def stochastic_rollout(model: StochasticModel, store: ad.ParamStore, x0,
     one mdn_forward on the paths' states with the mean path's state as the
     last row, so the mean path agrees with iterating one state's forward
     to rounding, not bit for bit (a state's forward can change in its last
-    bits with the rows batched beside it). A start that is not finite raises
-    ValueError.
+    bits with the rows batched beside it). A start that is not finite is
+    refused in every mode.
     """
     check_count("steps", steps, least=0)
     check_count("paths", paths)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (model.dim,):
+    if np.shape(x0) != (model.dim,):
         raise ValueError(f"x0 must be a single state of dimension {model.dim}, "
-                         f"got shape {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0}")
-    X = np.tile(x0, (paths + 1, 1))
-    traj = np.empty((paths, steps + 1, x0.size))
-    traj[:, 0] = x0
-    mean_traj = np.empty((steps + 1, x0.size))
-    mean_traj[0] = x0
+                         f"got shape {np.shape(x0)}")
+    start, _ = check_states("x0", x0, model.dim, finite=True)
+    X = np.tile(start, (paths + 1, 1))
+    traj = np.empty((paths, steps + 1, model.dim))
+    traj[:, 0] = start
+    mean_traj = np.empty((steps + 1, model.dim))
+    mean_traj[0] = start[0]
     for t in range(steps):
         out = mdn_forward(model, store, X)
         X = np.vstack([_draw(out, paths, rng), out.mu_mix[paths]])

@@ -26,9 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .validate import check_count
+from .validate import check_between, check_count, check_states
 
 LINEAR_A = np.array([[0.9, 1.0], [0.0, 0.9]])
+
+# the Lorenz system's classic parameters
+LORENZ_SIGMA = 10.0
+LORENZ_RHO = 28.0
+LORENZ_B = 8.0 / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +151,11 @@ def sde_diffusion(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def lorenz_rhs(x: np.ndarray, sigma: float = 10.0, rho: float = 28.0,
-               b: float = 8.0 / 3.0) -> np.ndarray:
+def lorenz_rhs(x: np.ndarray) -> np.ndarray:
     xt = x.T
     x0, x1, x2 = xt[0], xt[1], xt[2]
-    return _state(sigma * (x1 - x0), x0 * (rho - x2) - x1, x0 * x1 - b * x2)
+    return _state(LORENZ_SIGMA * (x1 - x0), x0 * (LORENZ_RHO - x2) - x1,
+                  x0 * x1 - LORENZ_B * x2)
 
 
 @dataclass
@@ -198,9 +203,11 @@ def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
     (S, steps+1, n), every start stepped together, and row i draws its noise
     from the stream seed+i, so it equals simulate(name, x0[i], steps,
     seed=seed+i) bit for bit. h and b left as None take the system's own,
-    and one the system never reads raises ValueError, as does an x0 that is
-    not finite or not shaped (n,) or (S, n) with n the system's dimension,
-    and a seed that is neither None nor an integer of at least 0.
+    and one the system never reads raises ValueError, as do an h that is
+    not positive and finite, a b that is not finite, an x0 that
+    validate.check_states refuses (not finite, or not shaped (n,) or
+    (S, n) with n the system's dimension) or that holds no start, and a
+    seed that is neither None nor an integer of at least 0.
     """
     check_count("steps", steps, least=0)
     if seed is not None:
@@ -210,16 +217,15 @@ def simulate(name: str, x0: np.ndarray, steps: int, seed: int | None = None,
         raise ValueError(f"h is not read by the {name} system")
     if b is not None and spec.b is None:
         raise ValueError(f"b is not read by the {name} system")
-    if h is not None and not 0.0 < h < np.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
-    if b is not None and not np.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
-    x = np.asarray(x0, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim or x.size == 0:
-        raise ValueError(f"x0 must be one {name} start ({spec.dim},) or a batch "
-                         f"(S, {spec.dim}) of them, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
+    if h is not None:
+        check_between("h", h, 0.0, np.inf)
+    if b is not None:
+        check_between("b", b, -np.inf, np.inf)
+    X, single = check_states("x0", x0, spec.dim, finite=True)
+    if not X.size:
+        raise ValueError(f"x0 holds no {name} start")
+    # one start keeps the cheaper single-state path
+    x = X[0] if single else X
     if seed is None:
         rng = None
     elif x.ndim == 1:
@@ -286,9 +292,10 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
     steps, but 10 for sde and 3000 for lorenz; b, recorded for the linear
     maps only, 0 for "linear" and 0.1 for "linear-stoch"; an h or b the
     system never reads is refused, as simulate refuses it. Trajectory i runs
-    from start i with seed seed+i: grid_points per axis over [lo, hi]^dim,
-    all stepped together by one simulate call, or the one start x0 (lorenz
-    always runs from its own, (1, 1, 1)). The rows are trajectory-major.
+    from start i with seed seed+i: grid_points per axis over [lo, hi]^dim
+    (lo and hi finite), all stepped together by one simulate call, or x0,
+    one start or a batch of them as simulate takes it (lorenz always runs
+    from its own, (1, 1, 1)). The rows are trajectory-major.
     """
     spec = SYSTEMS[system]
     steps = spec.steps if steps is None else steps
@@ -300,13 +307,12 @@ def generate_transitions(system: str, seed: int = 0, steps: int | None = None,
         meta["b"] = spec.b if b is None else b
     x0 = spec.x0 if x0 is None else x0
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (spec.dim,):
-            raise ValueError(f"{system} starts need {spec.dim} coordinates")
-        meta["x0"] = x0.tolist()
-        starts = x0   # one start keeps the cheaper single-state path
+        meta["x0"] = np.asarray(x0, dtype=np.float64).tolist()
+        starts = x0
     else:
         check_count("grid_points", grid_points)
+        check_between("lo", lo, -np.inf, np.inf)
+        check_between("hi", hi, -np.inf, np.inf)
         meta["grid"] = {"lo": lo, "hi": hi, "points": grid_points}
         starts = grid_starts(lo, hi, grid_points, spec.dim)
     traj = simulate(system, starts, steps, seed=seed, h=h, b=b)

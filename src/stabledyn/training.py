@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .deterministic import StableModel, as_batch, model_step, step_expr
+from .deterministic import StableModel, model_step, step_expr
 from .stochastic import StochasticModel, mdn_forward, mdn_nll
-from .validate import check_between, check_count
+from .validate import check_between, check_count, check_states
 
 
 # Adam's moment decay rates and denominator guard
@@ -216,19 +216,15 @@ def _check_data(model, X, Y):
     """X and Y as float arrays. Refuses by name anything but a non-empty
     (batch, dim) X and a Y of the same shape, which would otherwise
     broadcast against it into a wrong loss, and either holding a value that
-    is not finite, naming its dataset rows: a NaN would otherwise surface as
-    a diverged loss, a NaN score, or a row of a shuffled minibatch."""
-    X, _ = as_batch(X, model.dim, "X", single=False)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != X.shape:
-        raise ValueError(f"Y must have the shape of X, {X.shape}, got {Y.shape}")
+    is not finite, naming its dataset rows (validate.check_states): a NaN
+    would otherwise surface as a diverged loss, a NaN score, or a row of a
+    shuffled minibatch."""
+    X, _ = check_states("X", X, model.dim, single=False, finite=True)
+    if np.shape(Y) != X.shape:
+        raise ValueError(f"Y must have the shape of X, {X.shape}, got {np.shape(Y)}")
     if not X.shape[0]:
         raise ValueError("X has no rows: the dataset must hold at least one transition")
-    for name, A in (("X", X), ("Y", Y)):
-        finite = np.isfinite(A).all(axis=1)
-        if not finite.all():
-            rows = np.flatnonzero(~finite).tolist()
-            raise ValueError(f"{name} must hold finite numbers; dataset rows {rows} do not")
+    Y, _ = check_states("Y", Y, model.dim, single=False, finite=True)
     return X, Y
 
 
@@ -249,7 +245,7 @@ def evaluate_mse(model: StableModel, store: ad.ParamStore,
 def evaluate_violations(model, store: ad.ParamStore, X: np.ndarray) -> int:
     """Breaches of the model's own certificate over one pass through X, one
     state or a (batch, dim) array, for either model kind."""
-    X, _ = as_batch(X, model.dim, "X")
+    X, _ = check_states("X", X, model.dim, finite=model.mode != "none")
     if isinstance(model, StochasticModel):
         out = mdn_forward(model, store, X)
         pred, step = out.mu_mix, out.info

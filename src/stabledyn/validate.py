@@ -1,9 +1,12 @@
-"""Refusing settings and counts by name.
+"""Refusing settings, counts and states by name.
 
 A setting or count of the wrong type or range fails where it is given, with
 a ValueError naming it (the CLI's usage error), rather than later inside
-numpy. This module imports nothing from the package, so any module can use
-it.
+numpy. So does a state array: check_states is the one rule every entry that
+takes states applies, converting them to float64 and refusing, by the
+argument's name, a wrong shape and, where the entry needs finite states, a
+NaN or an infinity by its rows. This module imports nothing from the
+package, so any module can use it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+
+_F64 = np.dtype(np.float64)
 
 
 def check_count(name: str, value, least: int = 1) -> int:
@@ -40,9 +45,22 @@ def check_between(name: str, value, lo: float, hi: float) -> float:
     return float(value)
 
 
-def check_states(name: str, shape: tuple, dim: int, single: bool = True) -> None:
-    """Refuse by name a shape that is not (batch, dim), or with single (dim,)
-    either, naming the shapes it takes."""
-    if len(shape) not in ((1, 2) if single else (2,)) or shape[-1] != dim:
+def check_states(name: str, x, dim: int, single: bool = True, finite: bool = False):
+    """The one rule for a state array the library takes: x as float64, its
+    (batch, dim) view, and whether x was a single state.
+
+    Refuses by name a shape that is not (batch, dim), or with single (dim,)
+    either, naming the shapes it takes; with finite, also a state holding a
+    NaN or an infinity, naming its rows. An x that is already a float64
+    array is not copied or converted.
+    """
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in ((1, 2) if single else (2,)) or x.shape[-1] != dim:
         takes = f"a state of dimension {dim} or a " if single else "a "
-        raise ValueError(f"{name} must be {takes}(batch, {dim}) array, got shape {shape}")
+        raise ValueError(f"{name} must be {takes}(batch, {dim}) array, got shape {x.shape}")
+    X = x[None, :] if x.ndim == 1 else x
+    if finite and not np.isfinite(X).all():
+        rows = np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist()
+        raise ValueError(f"{name} must hold finite states; rows {rows} are not")
+    return X, x.ndim == 1

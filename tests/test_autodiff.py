@@ -39,6 +39,20 @@ def test_two_tapes_accumulate_additively():
     assert store.grads["w"] == pytest.approx(8.0)
 
 
+def test_a_tape_records_the_parameters_of_one_store():
+    # the sweep adds into one store; a leaf of another would have no home
+    first, second = ParamStore(), ParamStore()
+    first.add("w", 2.0)
+    second.add("w", 3.0)
+    tape = Tape()
+    w = tape.param(first, "w")
+    assert tape.param(first, "w") is w
+    with pytest.raises(ValueError, match="one ParamStore"):
+        tape.param(second, "w")
+    tape.backward(ad.mul(w, w))
+    assert first.grads["w"] == pytest.approx(4.0) and second.grads["w"] == 0.0
+
+
 def test_tape_is_single_use():
     store = ParamStore()
     store.add("w", 1.0)

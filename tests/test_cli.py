@@ -508,7 +508,7 @@ def test_train_refuses_data_holding_nan_as_a_usage_error(tmp_path, capsys):
     code = main(["train", "--model", "implicit", "--v", "icnn", "--data", str(data),
                  "--out", str(out), "--epochs", "2"])
     err = capsys.readouterr().err
-    assert code == 2 and "Y must hold finite numbers; dataset rows [3] do not" in err
+    assert code == 2 and "Y must hold finite states; rows [3] are not" in err
     assert not out.exists()
 
 

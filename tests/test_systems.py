@@ -325,6 +325,16 @@ def test_a_step_or_gain_the_system_never_reads_is_refused_by_name(system, kw):
         generate_transitions(system, steps=2, grid_points=2, **kw)
 
 
+@pytest.mark.parametrize("kw", [dict(lo=float("nan")), dict(lo=-np.inf), dict(hi=float("nan")),
+                                dict(hi=np.inf)], ids=["lo-nan", "lo-inf", "hi-nan", "hi-inf"])
+def test_a_grid_bound_that_is_not_finite_is_refused_by_name(kw):
+    # a NaN lo used to be reported as a start that is not finite, naming x0
+    ((name, value),) = kw.items()
+    with pytest.raises(ValueError, match=rf"^{name} must be a number in \(-inf, inf\), "
+                                         rf"got {value!r}$"):
+        generate_transitions("saturated", steps=3, **kw)
+
+
 @pytest.mark.parametrize("points,named", [(0, "at least 1, got 0"), (-3, "at least 1, got -3"),
                                           (2.5, "an integer, got 2.5"),
                                           (True, "an integer, got True"),

@@ -346,8 +346,8 @@ def test_non_finite_data_is_refused_by_its_dataset_rows(array, row, bad):
                  lambda: evaluate_nll(mix, mix_store, X, Y),
                  lambda: train(det, det_store, X, Y, TrainConfig(epochs=1, batch_size=4)),
                  lambda: train(mix, mix_store, X, Y, TrainConfig(epochs=1, batch_size=4))):
-        with pytest.raises(ValueError, match=rf"^{array} must hold finite numbers; "
-                                             rf"dataset rows \[{row}\] do not"):
+        with pytest.raises(ValueError, match=rf"^{array} must hold finite states; "
+                                             rf"rows \[{row}\] are not"):
             call()
     assert all(np.array_equal(det_store.values[k], v) for k, v in before.items())
 
